@@ -11,6 +11,8 @@
 use pte_machine::Platform;
 use pte_nn::{resnet18, DatasetKind};
 use pte_search::blockswap::{compress, BlockSwapOptions};
+use pte_search::evolve::EvolveOptions;
+use pte_search::fbnet::FbnetOptions;
 use pte_search::unified::{optimize, SearchStats, UnifiedOptions};
 
 #[test]
@@ -58,4 +60,57 @@ fn blockswap_plan_is_pinned() {
     assert_eq!(plan.latency_ms().to_bits(), 4621200518301227170);
     assert_eq!(plan.fisher().to_bits(), 4604546002771870793);
     assert_eq!(plan.params(), 6224586);
+}
+
+/// The evolutionary search on its quick configuration (the one
+/// `evolve_replay.rs` replays): stats and plan frozen bit-for-bit, so a
+/// refactor of the driver around it cannot drift silently.
+#[test]
+fn evolve_stats_and_plan_are_pinned() {
+    let net = resnet18(DatasetKind::Cifar10);
+    let options = EvolveOptions {
+        generation_size: 4,
+        generations: 2,
+        tune: pte_autotune::TuneOptions { trials: 16, seed: 0 },
+        ..EvolveOptions::default()
+    };
+    let outcome = pte_search::evolve::optimize(&net, &Platform::intel_i7(), &options);
+
+    let expected = SearchStats {
+        attempted: 154,
+        structurally_invalid: 11,
+        cost_rejected: 0,
+        fisher_rejected: 102,
+        survivors: 41,
+        improvements: 22,
+    };
+    assert_eq!(outcome.stats, expected, "evolve accounting drifted");
+    assert_eq!(outcome.plan.latency_ms().to_bits(), 4619907379875342056);
+    assert_eq!(outcome.plan.fisher().to_bits(), 4604525440826782728);
+    assert_eq!(outcome.plan.params(), 6132426);
+}
+
+/// The FBNet-style menu search on the quick tuner configuration, frozen the
+/// same way.
+#[test]
+fn fbnet_stats_and_plan_are_pinned() {
+    let net = resnet18(DatasetKind::Cifar10);
+    let options = FbnetOptions {
+        tune: pte_autotune::TuneOptions { trials: 16, seed: 0 },
+        ..FbnetOptions::default()
+    };
+    let outcome = pte_search::fbnet::optimize(&net, &Platform::intel_i7(), &options);
+
+    let expected = SearchStats {
+        attempted: 32,
+        structurally_invalid: 0,
+        cost_rejected: 0,
+        fisher_rejected: 22,
+        survivors: 10,
+        improvements: 10,
+    };
+    assert_eq!(outcome.stats, expected, "fbnet accounting drifted");
+    assert_eq!(outcome.plan.latency_ms().to_bits(), 4621043847775528426);
+    assert_eq!(outcome.plan.fisher().to_bits(), 4604525440826782728);
+    assert_eq!(outcome.plan.params(), 6132426);
 }
