@@ -2,7 +2,8 @@
 //! per network, plus the search-cost contrast (§7.5).
 
 use pte_core::nn::{densenet161, resnet34, resnext29_2x64d, DatasetKind};
-use pte_core::search::fbnet::{self, FbnetOptions};
+use pte_core::search::fbnet::FbnetOptions;
+use pte_core::search::{SearchCtx, Strategy};
 use pte_core::{Optimizer, Platform};
 
 fn main() {
@@ -25,18 +26,22 @@ fn main() {
     ]);
     for network in &networks {
         let report = Optimizer::new(network, platform.clone()).with_options(options.clone()).run();
-        let fb = fbnet::optimize(
+        let fbnet = FbnetOptions { tune: options.tune, ..Default::default() };
+        let gpu_days = fbnet.gpu_days_per_network;
+        let fb = pte_core::search::run(
             network,
             &platform,
-            &FbnetOptions { tune: options.tune, ..Default::default() },
-        );
+            &Strategy::Fbnet(fbnet),
+            &SearchCtx::parallel(),
+        )
+        .expect("a never-token cannot cancel");
         let fb_speedup = report.tvm_latency_ms / fb.plan.latency_ms();
         table.row(&[
             network.name().to_string(),
             format!("{:.2}", report.nas_speedup),
             format!("{fb_speedup:.2}"),
             format!("{:.2}", report.ours_speedup),
-            format!("~{:.0} GPU-days (training)", fb.gpu_days),
+            format!("~{gpu_days:.0} GPU-days (training)"),
             format!("{:.1}s (no training)", report.search_time.as_secs_f64()),
         ]);
     }

@@ -103,7 +103,7 @@ impl Optimizer {
         let outcome = pte_search::unified::optimize(&self.network, &self.platform, &self.options);
 
         let tvm_ms = baseline.latency_ms();
-        let nas_ms = nas.latency_ms();
+        let nas_ms = nas.plan.latency_ms();
         let ours_ms = outcome.plan.latency_ms();
         let fisher_ratio = if outcome.original_fisher > 0.0 {
             outcome.plan.fisher() / outcome.original_fisher
@@ -133,7 +133,7 @@ impl Optimizer {
             nas_speedup: tvm_ms / nas_ms,
             ours_speedup: tvm_ms / ours_ms,
             original_params: self.network.params(),
-            nas_params: nas.params(),
+            nas_params: nas.plan.params(),
             ours_params,
             original_error: self.network.base_error(),
             ours_error,

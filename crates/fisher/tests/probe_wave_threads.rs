@@ -5,7 +5,7 @@
 //! These are the only tests in their binary on purpose — the determinism
 //! test pins `PTE_THREADS`, and the rayon shim re-reads the environment from
 //! worker threads, so mutating it while sibling tests run probes would race
-//! their reads (the same isolation `pte-search`'s `parallel_parity.rs`
+//! their reads (the same isolation `pte-search`'s `driver_parity.rs`
 //! uses). The two tests here serialise on [`ENV_LOCK`] for the same reason.
 
 use std::sync::Mutex;

@@ -10,14 +10,16 @@
 //! new operators (§1.2, problem 3) — and it does not touch grouped or 1×1
 //! convolutions, which is why it finds nothing on ResNeXt (§7.1).
 
+use std::time::Instant;
+
 use pte_autotune::TuneOptions;
 use pte_fisher::FisherLegality;
 use pte_machine::Platform;
 use pte_nn::{ConvLayer, Network};
-use pte_transform::Schedule;
 
 use crate::candidates::Candidate;
-use crate::eval::{EvalOutcome, Evaluator};
+use crate::driver::SearchOutcome;
+use crate::eval::{EvalOutcome, Evaluator, SearchStats};
 use crate::plan::{LayerChoice, NetworkPlan};
 
 /// Options for the BlockSwap baseline.
@@ -55,22 +57,22 @@ pub(crate) fn menu_applies(layer: &ConvLayer) -> bool {
 }
 
 /// The fixed block-substitution menu.
-pub(crate) fn menu_for(layer: &ConvLayer) -> Vec<(String, Schedule)> {
+pub(crate) fn menu_for(layer: &ConvLayer) -> Vec<Candidate> {
     let mut out = Vec::new();
     for g in [2i64, 4, 8] {
         let mut s = layer.to_schedule();
         if s.group(g).is_ok() {
-            out.push((format!("group({g})"), s));
+            out.push(Candidate::single(format!("group({g})"), s));
         }
     }
     let mut s = layer.to_schedule();
     if s.depthwise().is_ok() {
-        out.push(("depthwise".to_string(), s));
+        out.push(Candidate::single("depthwise", s));
     }
     let mut s = layer.to_schedule();
     if let Some(co) = s.loop_names().first().cloned() {
         if s.bottleneck(&co, 2).is_ok() {
-            out.push(("bottleneck(2)".to_string(), s));
+            out.push(Candidate::single("bottleneck(2)", s));
         }
     }
     out
@@ -83,9 +85,19 @@ pub(crate) fn menu_for(layer: &ConvLayer) -> Vec<(String, Schedule)> {
 /// BlockSwap-specific — among the menu options that actually save
 /// parameters, substitute the survivor with the highest Fisher Potential
 /// (the budget drives *whether* to swap; Fisher drives *what* to swap in).
-pub fn compress(network: &Network, platform: &Platform, options: &BlockSwapOptions) -> NetworkPlan {
+///
+/// It keeps its own class loop rather than running through [`crate::run`]:
+/// the budget-ordered visit, the early stop and the max-Fisher rule are
+/// BlockSwap's alone.
+pub fn compress(
+    network: &Network,
+    platform: &Platform,
+    options: &BlockSwapOptions,
+) -> SearchOutcome {
+    let start = Instant::now();
     let mut plan = NetworkPlan::baseline(network, platform, &options.tune);
     let original_fisher = plan.fisher();
+    let mut stats = SearchStats::default();
     let original_params = plan.params();
     let budget = (original_params as f64 * options.budget_ratio) as u64;
     let evaluator = Evaluator::new(platform, options.tune).with_class_legality(options.legality);
@@ -108,19 +120,18 @@ pub fn compress(network: &Network, platform: &Platform, options: &BlockSwapOptio
         let incumbent = plan.choices()[idx].clone();
         // Structural stage, BlockSwap flavour: the fixed menu, restricted to
         // options that actually save parameters.
-        let menu = menu_for(&incumbent.layer);
-        let attempted = menu.len();
-        let cands: Vec<Candidate> = menu
-            .into_iter()
-            .filter(|(_, schedule)| {
+        let mut cands = menu_for(&incumbent.layer);
+        let attempted = cands.len();
+        cands.retain(|c| {
+            c.schedules.iter().all(|schedule| {
                 schedule
                     .nest()
                     .conv()
                     .is_some_and(|shape| (shape.params().max(0) as u64) < incumbent.params())
             })
-            .map(|(label, schedule)| Candidate { label, schedules: vec![schedule] })
-            .collect();
+        });
         let wave = evaluator.evaluate_class(&incumbent, cands, attempted);
+        stats.merge(&wave.stats);
 
         // Selection: highest-Fisher survivor (first-of-equals, as a serial
         // sweep would pick); every survivor extends the class ladder so the
@@ -135,7 +146,7 @@ pub fn compress(network: &Network, platform: &Platform, options: &BlockSwapOptio
             }
         }
         if let Some((_, choice)) = best {
-            plan.choices_mut()[idx] = choice;
+            plan.choices[idx] = choice;
         }
     }
     // Same capacity constraint as every other approach: if the swaps dropped
@@ -147,7 +158,7 @@ pub fn compress(network: &Network, platform: &Platform, options: &BlockSwapOptio
         original_fisher,
         &options.network_legality,
     );
-    plan
+    SearchOutcome { plan, stats, elapsed: start.elapsed(), original_fisher }
 }
 
 #[cfg(test)]
@@ -162,9 +173,16 @@ mod tests {
     #[test]
     fn compresses_resnet_toward_budget() {
         let net = resnet18(DatasetKind::Cifar10);
-        let plan = compress(&net, &Platform::intel_i7(), &quick());
-        let ratio = plan.params() as f64 / net.params() as f64;
+        let outcome = compress(&net, &Platform::intel_i7(), &quick());
+        let ratio = outcome.plan.params() as f64 / net.params() as f64;
         assert!(ratio < 0.75, "ratio {ratio}");
+        // Every visited class's wave is counted, each attempt in one stage.
+        let s = &outcome.stats;
+        assert!(s.survivors > 0, "{s:?}");
+        assert_eq!(
+            s.structurally_invalid + s.cost_rejected + s.fisher_rejected + s.survivors,
+            s.attempted
+        );
     }
 
     #[test]
@@ -173,7 +191,7 @@ mod tests {
         let platform = Platform::intel_i7();
         let options = quick();
         let baseline = NetworkPlan::baseline(&net, &platform, &options.tune);
-        let plan = compress(&net, &platform, &options);
+        let plan = compress(&net, &platform, &options).plan;
         assert!(plan.latency_ms() < baseline.latency_ms());
     }
 
@@ -186,7 +204,7 @@ mod tests {
         let platform = Platform::intel_i7();
         let options = quick();
         let baseline = NetworkPlan::baseline(&net, &platform, &options.tune);
-        let plan = compress(&net, &platform, &options);
+        let plan = compress(&net, &platform, &options).plan;
         assert_eq!(plan.params(), baseline.params());
         assert!((plan.latency_ms() - baseline.latency_ms()).abs() < 1e-9);
     }

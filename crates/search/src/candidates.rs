@@ -23,7 +23,7 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    fn single(label: impl Into<String>, schedule: Schedule) -> Self {
+    pub(crate) fn single(label: impl Into<String>, schedule: Schedule) -> Self {
         Candidate { label: label.into(), schedules: vec![schedule] }
     }
 }

@@ -26,7 +26,7 @@
 //! Candidate evaluations are pure, so the wave fans out over the worker pool
 //! ([`pte_autotune::wave::map_ordered`]) and reduces sequentially in input
 //! order: results are **bit-identical for any thread count**, the property
-//! the `parallel_parity` and `evaluator_stats` suites pin.
+//! the `driver_parity` and `evaluator_stats` suites pin.
 
 use std::sync::LazyLock;
 
@@ -442,7 +442,7 @@ mod tests {
         assert_eq!(wave.survivors().count(), s.survivors);
     }
 
-    // Forced multi-thread parity lives in `tests/parallel_parity.rs` (its
+    // Forced multi-thread parity lives in `tests/driver_parity.rs` (its
     // own binary, so pinning `PTE_THREADS` cannot race other tests' env
     // reads); this covers the serial/parallel drivers at ambient threads.
     #[test]

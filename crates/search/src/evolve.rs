@@ -26,8 +26,6 @@
 //! Same seed ⇒ bit-identical corpus trajectory and final plan, for any
 //! worker count — pinned by `tests/evolve_replay.rs`.
 
-use std::time::Instant;
-
 use pte_autotune::TuneOptions;
 use pte_fisher::FisherLegality;
 use pte_machine::Platform;
@@ -38,9 +36,9 @@ use rand::SeedableRng;
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::candidates::{self, Candidate};
+use crate::driver::{SearchCtx, SearchOutcome, Strategy};
 use crate::eval::{EvalOutcome, Evaluator, SearchStats};
-use crate::plan::NetworkPlan;
-use crate::unified::SearchOutcome;
+use crate::plan::LayerChoice;
 
 /// Options for the evolutionary search.
 #[derive(Debug, Clone)]
@@ -86,11 +84,12 @@ impl EvolveOptions {
     /// `random_per_layer`) into generations of roughly equal size, so the
     /// two strategies spend the same number of buffer evaluations per layer
     /// class. Budgets below one per generation collapse to fewer, fuller
-    /// generations.
+    /// generations; a zero budget evaluates the deterministic menu only,
+    /// exactly like `unified` with `random_per_layer: 0`.
     pub fn with_budget(budget: usize) -> Self {
         let defaults = EvolveOptions::default();
         let generations = defaults.generations.min(budget.max(1));
-        let generation_size = budget.max(1).div_ceil(generations);
+        let generation_size = budget.div_ceil(generations);
         EvolveOptions { generation_size, generations, ..defaults }
     }
 
@@ -109,26 +108,11 @@ struct CorpusMember {
 }
 
 /// Runs the evolutionary search with candidate evaluation fanned out over
-/// the worker pool. Bit-identical to [`optimize_serial`] for any thread
-/// count (same contract as the unified driver).
+/// the worker pool: [`crate::run`] with [`Strategy::Evolve`] and
+/// [`SearchCtx::parallel`]. Bit-identical to [`optimize_serial`].
 pub fn optimize(network: &Network, platform: &Platform, options: &EvolveOptions) -> SearchOutcome {
-    optimize_impl(network, platform, options, true, &CancelToken::never())
+    crate::run(network, platform, &Strategy::Evolve(options.clone()), &SearchCtx::parallel())
         .expect("a never-token cannot cancel")
-}
-
-/// [`optimize`] under a cooperative [`CancelToken`] — polled between waves
-/// and at the evaluator's stage boundaries. An unfired token is
-/// byte-identical to [`optimize`].
-///
-/// # Errors
-/// [`Cancelled`] once the token fires.
-pub fn optimize_cancellable(
-    network: &Network,
-    platform: &Platform,
-    options: &EvolveOptions,
-    cancel: &CancelToken,
-) -> Result<SearchOutcome, Cancelled> {
-    optimize_impl(network, platform, options, true, cancel)
 }
 
 /// Runs the evolutionary search strictly on the calling thread.
@@ -137,121 +121,93 @@ pub fn optimize_serial(
     platform: &Platform,
     options: &EvolveOptions,
 ) -> SearchOutcome {
-    optimize_impl(network, platform, options, false, &CancelToken::never())
+    crate::run(network, platform, &Strategy::Evolve(options.clone()), &SearchCtx::serial())
         .expect("a never-token cannot cancel")
 }
 
-fn optimize_impl(
-    network: &Network,
-    platform: &Platform,
+/// The generations of one mutable class: each a wave of corpus mutations
+/// (generation 0 also carrying the deterministic menu), reduced to the
+/// fastest legal survivor so far.
+pub(crate) fn explore_class(
     options: &EvolveOptions,
-    parallel: bool,
+    idx: usize,
+    incumbent: &LayerChoice,
+    evaluator: &Evaluator,
     cancel: &CancelToken,
-) -> Result<SearchOutcome, Cancelled> {
-    let start = Instant::now();
-    cancel.check()?;
-    let mut plan = NetworkPlan::baseline_impl(network, platform, &options.tune, parallel);
-    let original_fisher = plan.fisher();
-    let mut stats = SearchStats::default();
+    stats: &mut SearchStats,
+    ladder: &mut Vec<LayerChoice>,
+) -> Result<LayerChoice, Cancelled> {
+    // Traced requests see one span per mutable class; the automaton's
+    // coverage ledger (grammar rules fired per class) fills in as the
+    // buffers decode — both observation-only.
+    let _class_span = pte_telemetry::span("evolve_class");
+    let base = incumbent.layer.to_schedule();
+    let auto = automaton::compile(&base);
+    let class_seed = pte_tensor::rng::derive_seed(options.seed, idx as u64);
+    let mut corpus: Vec<CorpusMember> = Vec::new();
+    let mut best = incumbent.clone();
 
-    let mut evaluator =
-        Evaluator::new(platform, options.tune).with_class_legality(options.class_legality);
-    if !parallel {
-        evaluator = evaluator.serial();
-    }
+    for gen in 0..options.generations {
+        cancel.check()?;
+        // Generation 0 rides the deterministic menu, so evolve starts
+        // from the same floor the unified strategy enumerates.
+        let (mut cands, mut attempted) =
+            if gen == 0 { candidates::enumerate(&incumbent.layer) } else { (Vec::new(), 0) };
 
-    let class_count = plan.choices().len();
-    let mut ladders: crate::plan::ChoiceLadders = vec![Vec::new(); class_count];
-    for (idx, ladder) in ladders.iter_mut().enumerate() {
-        let incumbent = plan.choices()[idx].clone();
-        ladder.push(incumbent.clone());
-        if !incumbent.layer.mutable {
-            continue;
+        // Buffer candidates: mutations of the ranked corpus
+        // (round-robin), fresh growth while the corpus is empty. Each
+        // candidate gets its own derived RNG stream so the trajectory
+        // is independent of evaluation scheduling.
+        let mut buffers: Vec<Option<Vec<usize>>> = vec![None; cands.len()];
+        for member in 0..options.generation_size {
+            attempted += 1;
+            let draw = (gen * options.generation_size + member) as u64;
+            let mut rng = StdRng::seed_from_u64(pte_tensor::rng::derive_seed(class_seed, draw));
+            let mut schedule = base.clone();
+            let (buf, steps) = if corpus.is_empty() {
+                let mut buf = Vec::new();
+                let steps = auto.grow(&mut schedule, &mut buf, &mut rng, options.max_attempts);
+                (buf, steps)
+            } else {
+                let parent = &corpus[member % corpus.len()];
+                auto.mutate(&mut schedule, &parent.buf, &mut rng, options.max_attempts)
+            };
+            if steps.is_empty() || !schedule.changes_capacity() {
+                // No capacity-changing move: identical to the baseline
+                // the incumbent already is — structurally uninteresting.
+                continue;
+            }
+            let label = steps.iter().map(ToString::to_string).collect::<Vec<_>>().join("->");
+            buffers.push(Some(buf));
+            cands.push(Candidate::single(label, schedule));
         }
 
-        // Traced requests see one span per mutable class; the automaton's
-        // coverage ledger (grammar rules fired per class) fills in as the
-        // buffers decode — both observation-only.
-        let _class_span = pte_telemetry::span("evolve_class");
-        let base = incumbent.layer.to_schedule();
-        let auto = automaton::compile(&base);
-        let class_seed = pte_tensor::rng::derive_seed(options.seed, idx as u64);
-        let mut corpus: Vec<CorpusMember> = Vec::new();
-        let mut best = incumbent.clone();
+        // Legality is judged against the class's original incumbent
+        // (like the unified strategy), not the evolving winner, so the
+        // Fisher floor never ratchets downward across generations.
+        let wave = evaluator.evaluate_class_cancellable(incumbent, cands, attempted, cancel)?;
 
-        for gen in 0..options.generations {
-            cancel.check()?;
-            // Generation 0 rides the deterministic menu, so evolve starts
-            // from the same floor the unified strategy enumerates.
-            let (mut cands, mut attempted) =
-                if gen == 0 { candidates::enumerate(&incumbent.layer) } else { (Vec::new(), 0) };
-            let det_len = cands.len();
-
-            // Buffer candidates: mutations of the ranked corpus
-            // (round-robin), fresh growth while the corpus is empty. Each
-            // candidate gets its own derived RNG stream so the trajectory
-            // is independent of evaluation scheduling.
-            let mut buffers: Vec<Option<Vec<usize>>> = vec![None; det_len];
-            for member in 0..options.generation_size {
-                attempted += 1;
-                let draw = (gen * options.generation_size + member) as u64;
-                let mut rng = StdRng::seed_from_u64(pte_tensor::rng::derive_seed(class_seed, draw));
-                let mut schedule = base.clone();
-                let (buf, steps) = if corpus.is_empty() {
-                    let mut buf = Vec::new();
-                    let steps = auto.grow(&mut schedule, &mut buf, &mut rng, options.max_attempts);
-                    (buf, steps)
-                } else {
-                    let parent = &corpus[member % corpus.len()];
-                    auto.mutate(&mut schedule, &parent.buf, &mut rng, options.max_attempts)
-                };
-                if steps.is_empty() || !schedule.changes_capacity() {
-                    // No capacity-changing move: identical to the baseline
-                    // the incumbent already is — structurally uninteresting.
-                    continue;
-                }
-                let label = steps.iter().map(ToString::to_string).collect::<Vec<_>>().join("->");
-                buffers.push(Some(buf));
-                cands.push(Candidate { label, schedules: vec![schedule] });
+        // Corpus update: every *buffer-backed* survivor joins, ranked by
+        // Fisher score (descending, stable on input order), bounded.
+        for (eval, buf) in wave.evals.iter().zip(&buffers) {
+            let Some(buf) = buf else { continue };
+            if matches!(eval.outcome, EvalOutcome::Survivor(_)) {
+                corpus.push(CorpusMember { buf: buf.clone(), fisher: eval.fisher });
             }
-
-            // Legality is judged against the class's original incumbent
-            // (like the unified driver), not the evolving winner, so the
-            // Fisher floor never ratchets downward across generations.
-            let wave =
-                evaluator.evaluate_class_cancellable(&incumbent, cands, attempted, cancel)?;
-
-            // Corpus update: every *buffer-backed* survivor joins, ranked by
-            // Fisher score (descending, stable on input order), bounded.
-            for (eval, buf) in wave.evals.iter().zip(&buffers) {
-                let Some(buf) = buf else { continue };
-                if matches!(eval.outcome, EvalOutcome::Survivor(_)) {
-                    corpus.push(CorpusMember { buf: buf.clone(), fisher: eval.fisher });
-                }
-            }
-            corpus.sort_by(|a, b| {
-                b.fisher.partial_cmp(&a.fisher).unwrap_or(std::cmp::Ordering::Equal)
-            });
-            corpus.truncate(options.corpus_size);
-
-            best = wave.select_fastest(&best, &mut stats, ladder);
         }
-        plan.choices_mut()[idx] = best;
+        corpus.sort_by(|a, b| b.fisher.partial_cmp(&a.fisher).unwrap_or(std::cmp::Ordering::Equal));
+        corpus.truncate(options.corpus_size);
+
+        best = wave.select_fastest(&best, stats, ladder);
     }
-
-    crate::plan::enforce_network_legality(
-        &mut plan,
-        &ladders,
-        original_fisher,
-        &options.network_legality,
-    );
-
-    Ok(SearchOutcome { plan, stats, elapsed: start.elapsed(), original_fisher })
+    Ok(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::NetworkPlan;
+    use crate::unified::{self, UnifiedOptions};
     use pte_nn::{resnet18, DatasetKind};
 
     fn quick_options() -> EvolveOptions {
@@ -301,7 +257,7 @@ mod tests {
 
     #[test]
     fn budget_split_matches_unified_budget() {
-        for budget in [1, 7, 8, 96, 100] {
+        for budget in [0, 1, 7, 8, 96, 100] {
             let options = EvolveOptions::with_budget(budget);
             assert!(options.budget() >= budget, "budget {budget} -> {}", options.budget());
             assert!(
@@ -313,12 +269,20 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_aborts_without_a_plan() {
+    fn zero_budget_matches_unified_without_random_draws() {
         let net = resnet18(DatasetKind::Cifar10);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = optimize_cancellable(&net, &Platform::intel_i7(), &quick_options(), &token)
-            .unwrap_err();
-        assert_eq!(err, Cancelled);
+        let platform = Platform::intel_i7();
+        let tune = TuneOptions { trials: 16, seed: 0 };
+        let evolved =
+            optimize(&net, &platform, &EvolveOptions { tune, ..EvolveOptions::with_budget(0) });
+        let unified = unified::optimize(
+            &net,
+            &platform,
+            &UnifiedOptions { random_per_layer: 0, tune, ..UnifiedOptions::default() },
+        );
+        assert_eq!(evolved.stats, unified.stats);
+        assert_eq!(evolved.plan.latency_ms().to_bits(), unified.plan.latency_ms().to_bits());
+        assert_eq!(evolved.plan.fisher().to_bits(), unified.plan.fisher().to_bits());
+        assert_eq!(evolved.plan.params(), unified.plan.params());
     }
 }

@@ -78,7 +78,7 @@ fn mixed_plan(
             s.group(g).ok()?;
             vec![s]
         };
-        plan.choices_mut()[idx] =
+        plan.choices[idx] =
             evaluator.tune_candidate(&incumbent.layer, incumbent.multiplicity, schedules);
     }
     Some(plan)
@@ -91,10 +91,8 @@ pub fn interpolate(
     options: &InterpolateOptions,
 ) -> Vec<InterpolationPoint> {
     let evaluator = Evaluator::new(platform, options.tune);
-    let swappable_count = {
-        let plan = NetworkPlan::baseline(network, platform, &options.tune);
-        (0..plan.choices().len()).filter(|&i| menu_applies(&plan.choices()[i].layer)).count()
-    };
+    let swappable_count =
+        network.distinct_configs().into_iter().filter(|l| menu_applies(l)).count();
 
     let mut points = Vec::new();
     let mut push = |label: String, plan: NetworkPlan, endpoint: bool| {

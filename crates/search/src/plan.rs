@@ -2,12 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use pte_autotune::{wave, TuneOptions};
+use pte_autotune::TuneOptions;
 use pte_machine::Platform;
 use pte_nn::{ConvLayer, Network};
 use pte_transform::{Schedule, TransformStep};
 
-use crate::eval::Evaluator;
+use crate::driver::{SearchCtx, Strategy};
 
 /// The chosen implementation of one distinct layer configuration.
 #[derive(Debug, Clone)]
@@ -51,50 +51,18 @@ impl LayerChoice {
 /// A complete implementation plan for a network on one platform.
 #[derive(Debug, Clone)]
 pub struct NetworkPlan {
-    network: Network,
-    choices: Vec<LayerChoice>,
+    pub(crate) network: Network,
+    pub(crate) choices: Vec<LayerChoice>,
 }
 
 impl NetworkPlan {
-    /// The TVM-baseline plan: every distinct layer configuration autotuned
-    /// (through the shared [`Evaluator`]'s autotune stage), architecture
-    /// untouched.
-    ///
-    /// Layer classes are independent, so their tuning fans out over the
-    /// worker pool with the workspace's order-preserving reduction
-    /// ([`wave::map_ordered`]): the plan is **bit-identical** to
-    /// [`NetworkPlan::baseline_serial`] for any thread count (pinned by
-    /// `search/tests/baseline_parity.rs`).
+    /// The TVM-baseline plan: every distinct layer configuration autotuned,
+    /// architecture untouched — [`crate::run`] with [`Strategy::Baseline`]
+    /// on the worker pool.
     pub fn baseline(network: &Network, platform: &Platform, tune_options: &TuneOptions) -> Self {
-        Self::baseline_impl(network, platform, tune_options, true)
-    }
-
-    /// [`NetworkPlan::baseline`] strictly on the calling thread, kept for
-    /// speedup baselines and determinism tests.
-    pub fn baseline_serial(
-        network: &Network,
-        platform: &Platform,
-        tune_options: &TuneOptions,
-    ) -> Self {
-        Self::baseline_impl(network, platform, tune_options, false)
-    }
-
-    pub(crate) fn baseline_impl(
-        network: &Network,
-        platform: &Platform,
-        tune_options: &TuneOptions,
-        parallel: bool,
-    ) -> Self {
-        let evaluator = Evaluator::new(platform, *tune_options);
-        let classes: Vec<(ConvLayer, usize)> = network
-            .distinct_configs()
-            .into_iter()
-            .map(|layer| (layer.clone(), network.config_multiplicity(layer)))
-            .collect();
-        let choices = wave::map_ordered(classes, parallel, |(layer, multiplicity)| {
-            evaluator.tune_candidate(&layer, multiplicity, vec![layer.to_schedule()])
-        });
-        NetworkPlan { network: network.clone(), choices }
+        crate::run(network, platform, &Strategy::Baseline(*tune_options), &SearchCtx::parallel())
+            .expect("a never-token cannot cancel")
+            .plan
     }
 
     /// The plan's network.
@@ -105,20 +73,6 @@ impl NetworkPlan {
     /// Per-layer-class choices.
     pub fn choices(&self) -> &[LayerChoice] {
         &self.choices
-    }
-
-    /// Mutable per-layer-class choices (search drivers refine them).
-    pub fn choices_mut(&mut self) -> &mut [LayerChoice] {
-        &mut self.choices
-    }
-
-    /// Replaces the choice for one layer class (matched by signature).
-    pub fn set_choice(&mut self, choice: LayerChoice) {
-        if let Some(slot) =
-            self.choices.iter_mut().find(|c| c.layer.signature() == choice.layer.signature())
-        {
-            *slot = choice;
-        }
     }
 
     /// End-to-end inference latency: Σ instances × tuned per-instance time.
@@ -187,7 +141,7 @@ pub(crate) fn enforce_network_legality(
             }
         }
         match best_step {
-            Some((i, j, _)) => plan.choices_mut()[i] = ladders[i][j].clone(),
+            Some((i, j, _)) => plan.choices[i] = ladders[i][j].clone(),
             None => break,
         }
     }

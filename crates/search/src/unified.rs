@@ -10,8 +10,6 @@
 //! [`SearchStats`] records the same quantities here, counted by the
 //! evaluator rather than by hand.
 
-use std::time::{Duration, Instant};
-
 use pte_autotune::TuneOptions;
 use pte_fisher::FisherLegality;
 use pte_machine::Platform;
@@ -19,9 +17,11 @@ use pte_nn::Network;
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::candidates;
+use crate::driver::{SearchCtx, Strategy};
 use crate::eval::Evaluator;
-use crate::plan::NetworkPlan;
+use crate::plan::LayerChoice;
 
+pub use crate::driver::SearchOutcome;
 pub use crate::eval::SearchStats;
 
 /// Options for the unified search.
@@ -56,128 +56,49 @@ impl Default for UnifiedOptions {
     }
 }
 
-/// Outcome of the unified search on one network/platform pair.
-#[derive(Debug, Clone)]
-pub struct SearchOutcome {
-    /// The optimized implementation plan.
-    pub plan: NetworkPlan,
-    /// Search statistics.
-    pub stats: SearchStats,
-    /// Wall-clock search time.
-    pub elapsed: Duration,
-    /// Fisher Potential of the original network.
-    pub original_fisher: f64,
-}
-
 /// Runs the unified search with candidate evaluation fanned out over the
-/// worker pool.
-///
-/// The parallel and serial drivers produce **bit-identical plans**: every
-/// candidate's evaluation (Fisher probe + autotune) is a pure function of
-/// the candidate, and the reduction — statistics, ladder order, and the
-/// strict-`<` first-best winner — runs sequentially in candidate order over
-/// the order-preserved evaluation results (see [`Evaluator`]).
-/// [`optimize_serial`] exists so benchmarks and tests can pin the
-/// single-threaded driver.
+/// worker pool: [`crate::run`] with [`Strategy::Unified`] and
+/// [`SearchCtx::parallel`].
 pub fn optimize(network: &Network, platform: &Platform, options: &UnifiedOptions) -> SearchOutcome {
-    optimize_impl(network, platform, options, true, &CancelToken::never())
+    crate::run(network, platform, &Strategy::Unified(options.clone()), &SearchCtx::parallel())
         .expect("a never-token cannot cancel")
 }
 
-/// [`optimize`] under a cooperative [`CancelToken`] — the serving layer's
-/// per-request deadline path. The token is polled between layer-class waves
-/// and at the [`Evaluator`] pipeline's stage boundaries, so a fired token
-/// (deadline passed, explicit cancel) abandons the search within one stage
-/// of work and returns [`Cancelled`] with no partial plan. A run whose token
-/// never fires is **byte-identical** to [`optimize`]: the polls are pure
-/// control flow and touch no numeric path.
-///
-/// # Errors
-/// [`Cancelled`] once the token fires.
-pub fn optimize_cancellable(
-    network: &Network,
-    platform: &Platform,
-    options: &UnifiedOptions,
-    cancel: &CancelToken,
-) -> Result<SearchOutcome, Cancelled> {
-    optimize_impl(network, platform, options, true, cancel)
-}
-
-/// Runs the unified search strictly on the calling thread. Same result as
-/// [`optimize`], kept for speedup baselines and determinism tests.
+/// Runs the unified search strictly on the calling thread. Bit-identical to
+/// [`optimize`]; the single-threaded reference for speedup baselines.
 pub fn optimize_serial(
     network: &Network,
     platform: &Platform,
     options: &UnifiedOptions,
 ) -> SearchOutcome {
-    optimize_impl(network, platform, options, false, &CancelToken::never())
+    crate::run(network, platform, &Strategy::Unified(options.clone()), &SearchCtx::serial())
         .expect("a never-token cannot cancel")
 }
 
-fn optimize_impl(
-    network: &Network,
-    platform: &Platform,
+/// One wave per mutable class: the deterministic candidate menu plus
+/// `random_per_layer` seeded random sequences, reduced to the fastest legal
+/// survivor.
+pub(crate) fn explore_class(
     options: &UnifiedOptions,
-    parallel: bool,
+    idx: usize,
+    incumbent: &LayerChoice,
+    evaluator: &Evaluator,
     cancel: &CancelToken,
-) -> Result<SearchOutcome, Cancelled> {
-    let start = Instant::now();
-    cancel.check()?;
-    // The serial driver's contract is "strictly on the calling thread", so
-    // it compiles its baseline serially too; results are bit-identical
-    // either way.
-    let mut plan = NetworkPlan::baseline_impl(network, platform, &options.tune, parallel);
-    let original_fisher = plan.fisher();
-    let mut stats = SearchStats::default();
-
-    let mut evaluator =
-        Evaluator::new(platform, options.tune).with_class_legality(options.class_legality);
-    if !parallel {
-        evaluator = evaluator.serial();
-    }
-
-    let class_count = plan.choices().len();
-    let mut ladders: crate::plan::ChoiceLadders = vec![Vec::new(); class_count];
-    for (idx, ladder) in ladders.iter_mut().enumerate() {
-        let incumbent = plan.choices()[idx].clone();
-        ladder.push(incumbent.clone());
-        if !incumbent.layer.mutable {
-            continue;
-        }
-
-        let (mut cands, attempted_det) = candidates::enumerate(&incumbent.layer);
-        let (random_cands, attempted_rand) = candidates::random(
-            &incumbent.layer,
-            options.random_per_layer,
-            pte_tensor::rng::derive_seed(options.seed, idx as u64),
-        );
-        cands.extend(random_cands);
-
-        let wave = evaluator.evaluate_class_cancellable(
-            &incumbent,
-            cands,
-            attempted_det + attempted_rand,
-            cancel,
-        )?;
-        plan.choices_mut()[idx] = wave.select_fastest(&incumbent, &mut stats, ladder);
-    }
-
-    // Final combined check: if stacking every per-class winner dropped the
-    // network below the legality threshold, step the least valuable winners
-    // up their candidate ladders until the plan is legal again.
-    crate::plan::enforce_network_legality(
-        &mut plan,
-        &ladders,
-        original_fisher,
-        &options.network_legality,
-    );
-
-    Ok(SearchOutcome { plan, stats, elapsed: start.elapsed(), original_fisher })
+    stats: &mut SearchStats,
+    ladder: &mut Vec<LayerChoice>,
+) -> Result<LayerChoice, Cancelled> {
+    let seed = pte_tensor::rng::derive_seed(options.seed, idx as u64);
+    let (mut cands, attempted) = candidates::enumerate(&incumbent.layer);
+    let (random, drawn) = candidates::random(&incumbent.layer, options.random_per_layer, seed);
+    cands.extend(random);
+    let wave = evaluator.evaluate_class_cancellable(incumbent, cands, attempted + drawn, cancel)?;
+    Ok(wave.select_fastest(incumbent, stats, ladder))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::NetworkPlan;
     use pte_nn::{resnet18, resnext29_2x64d, DatasetKind};
 
     fn quick_options() -> UnifiedOptions {
@@ -228,16 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_aborts_without_a_plan() {
-        let net = resnet18(DatasetKind::Cifar10);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = optimize_cancellable(&net, &Platform::intel_i7(), &quick_options(), &token)
-            .unwrap_err();
-        assert_eq!(err, Cancelled);
-    }
-
-    #[test]
     fn mid_search_cancel_aborts_at_a_stage_boundary() {
         // Cancel from another thread while the search runs: the driver must
         // return Cancelled (not a plan) without panicking or hanging.
@@ -248,7 +159,9 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(30));
             canceller.cancel();
         });
-        let result = optimize_cancellable(&net, &Platform::intel_i7(), &quick_options(), &token);
+        let ctx = SearchCtx::parallel().with_cancel(token);
+        let result =
+            crate::run(&net, &Platform::intel_i7(), &Strategy::Unified(quick_options()), &ctx);
         stop.join().unwrap();
         // A fast machine may finish the search before the cancel lands; the
         // contract is only that the call terminates cleanly and an abort

@@ -14,6 +14,7 @@ use pte_search::blockswap::{compress, BlockSwapOptions};
 use pte_search::evolve::EvolveOptions;
 use pte_search::fbnet::FbnetOptions;
 use pte_search::unified::{optimize, SearchStats, UnifiedOptions};
+use pte_search::{SearchCtx, Strategy};
 
 #[test]
 fn unified_stats_and_plan_match_seed_behaviour() {
@@ -56,7 +57,7 @@ fn blockswap_plan_is_pinned() {
         tune: pte_autotune::TuneOptions { trials: 16, seed: 0 },
         ..Default::default()
     };
-    let plan = compress(&net, &Platform::intel_i7(), &options);
+    let plan = compress(&net, &Platform::intel_i7(), &options).plan;
     assert_eq!(plan.latency_ms().to_bits(), 4621200518301227170);
     assert_eq!(plan.fisher().to_bits(), 4604546002771870793);
     assert_eq!(plan.params(), 6224586);
@@ -99,7 +100,13 @@ fn fbnet_stats_and_plan_are_pinned() {
         tune: pte_autotune::TuneOptions { trials: 16, seed: 0 },
         ..FbnetOptions::default()
     };
-    let outcome = pte_search::fbnet::optimize(&net, &Platform::intel_i7(), &options);
+    let outcome = pte_search::run(
+        &net,
+        &Platform::intel_i7(),
+        &Strategy::Fbnet(options),
+        &SearchCtx::parallel(),
+    )
+    .expect("a never-token cannot cancel");
 
     let expected = SearchStats {
         attempted: 32,

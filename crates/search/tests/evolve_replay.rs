@@ -1,77 +1,22 @@
 //! Corpus replay determinism for the evolutionary search: the same seed and
-//! workload must yield a bit-identical corpus trajectory and final plan —
-//! across repeated runs, and for any worker count. Lives in its own binary
-//! so pinning `PTE_THREADS` cannot race other tests' env reads (the same
-//! arrangement as `parallel_parity.rs`).
+//! workload must yield a bit-identical corpus trajectory and final plan
+//! across repeated runs, for arbitrary seeds, on the worker pool
+//! (serial ≡ parallel for every strategy lives in `driver_parity.rs`).
+//! Lives in its own binary so pinning `PTE_THREADS` cannot race other
+//! tests' env reads.
+
+mod common;
 
 use proptest::prelude::*;
 
 use pte_autotune::TuneOptions;
 use pte_machine::Platform;
-use pte_nn::{resnet18, ConvLayer, DatasetKind, Network};
-use pte_search::evolve::{optimize, optimize_serial, EvolveOptions};
-use pte_search::NetworkPlan;
+use pte_nn::{ConvLayer, DatasetKind, Network};
+use pte_search::evolve::{optimize, EvolveOptions};
 use pte_transform::automaton;
 use pte_transform::sequence::{apply_sequence, parse_sequence};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn assert_plans_identical(a: &NetworkPlan, b: &NetworkPlan) {
-    assert_eq!(a.latency_ms().to_bits(), b.latency_ms().to_bits(), "total latency diverged");
-    assert_eq!(a.fisher().to_bits(), b.fisher().to_bits(), "total fisher diverged");
-    assert_eq!(a.params(), b.params(), "params diverged");
-    assert_eq!(a.choices().len(), b.choices().len());
-    for (ca, cb) in a.choices().iter().zip(b.choices()) {
-        assert_eq!(ca.layer.signature(), cb.layer.signature());
-        assert_eq!(ca.multiplicity, cb.multiplicity);
-        assert_eq!(
-            ca.latency_ms.to_bits(),
-            cb.latency_ms.to_bits(),
-            "layer `{}` latency diverged",
-            ca.layer.name
-        );
-        assert_eq!(ca.fisher.to_bits(), cb.fisher.to_bits(), "layer `{}` fisher", ca.layer.name);
-        assert_eq!(ca.named_sequence, cb.named_sequence);
-        assert_eq!(
-            format!("{:?}", ca.steps()),
-            format!("{:?}", cb.steps()),
-            "layer `{}` picked different transformation steps",
-            ca.layer.name
-        );
-    }
-}
-
-#[test]
-fn evolve_is_bit_identical_across_runs_and_thread_counts() {
-    // Force real multi-threading even on single-core CI machines: the shim
-    // re-reads the thread count per call, and results must not depend on it.
-    std::env::set_var("PTE_THREADS", "4");
-
-    let network = resnet18(DatasetKind::Cifar10);
-    let platform = Platform::intel_i7();
-    let options = EvolveOptions {
-        generation_size: 4,
-        generations: 2,
-        tune: TuneOptions { trials: 16, seed: 0 },
-        ..EvolveOptions::default()
-    };
-
-    let serial = optimize_serial(&network, &platform, &options);
-    let parallel = optimize(&network, &platform, &options);
-    let replayed = optimize(&network, &platform, &options);
-
-    assert_plans_identical(&serial.plan, &parallel.plan);
-    assert_plans_identical(&parallel.plan, &replayed.plan);
-    assert_eq!(serial.stats, parallel.stats, "search statistics diverged");
-    assert_eq!(parallel.stats, replayed.stats, "repeat run statistics diverged");
-    assert_eq!(
-        serial.original_fisher.to_bits(),
-        parallel.original_fisher.to_bits(),
-        "original fisher diverged"
-    );
-
-    std::env::remove_var("PTE_THREADS");
-}
 
 fn tiny_network() -> Network {
     let convs = vec![
@@ -88,6 +33,7 @@ proptest! {
     /// across two independent runs, for arbitrary seeds.
     #[test]
     fn seeded_runs_replay_bit_identically(seed in 0u64..1_000_000) {
+        common::pin_threads();
         let network = tiny_network();
         let platform = Platform::intel_i7();
         let options = EvolveOptions {
@@ -99,7 +45,7 @@ proptest! {
         };
         let first = optimize(&network, &platform, &options);
         let second = optimize(&network, &platform, &options);
-        assert_plans_identical(&first.plan, &second.plan);
+        common::assert_plans_identical("evolve replay", &first.plan, &second.plan);
         prop_assert_eq!(first.stats, second.stats);
     }
 

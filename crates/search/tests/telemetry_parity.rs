@@ -1,7 +1,8 @@
 //! Telemetry is **observation-only**: a search run under a live trace with
 //! histogram/span recording enabled must produce a plan bit-identical to a
 //! search run with telemetry disabled — same winners, same latencies to the
-//! last bit, same statistics — serially and under `PTE_THREADS=4`. This is
+//! last bit, same statistics — serially and on the worker pool (forced to
+//! `PTE_THREADS=4` unless the environment sets a count). This is
 //! the invariant that lets the serving layer trace any request without a
 //! determinism caveat: spans read the clock and write atomics, and nothing
 //! the search computes ever depends on either.
@@ -9,36 +10,12 @@
 //! Everything lives in one `#[test]` because `PTE_THREADS` is process-wide
 //! state; a single test body keeps the env mutation race-free.
 
+mod common;
+
 use pte_machine::Platform;
 use pte_nn::{resnet18, DatasetKind};
 use pte_search::unified::{optimize, optimize_serial, UnifiedOptions};
-use pte_search::NetworkPlan;
 use pte_telemetry::Trace;
-
-fn assert_plans_identical(a: &NetworkPlan, b: &NetworkPlan) {
-    assert_eq!(a.latency_ms().to_bits(), b.latency_ms().to_bits(), "total latency diverged");
-    assert_eq!(a.fisher().to_bits(), b.fisher().to_bits(), "total fisher diverged");
-    assert_eq!(a.params(), b.params(), "params diverged");
-    assert_eq!(a.choices().len(), b.choices().len());
-    for (ca, cb) in a.choices().iter().zip(b.choices()) {
-        assert_eq!(ca.layer.signature(), cb.layer.signature());
-        assert_eq!(ca.multiplicity, cb.multiplicity);
-        assert_eq!(
-            ca.latency_ms.to_bits(),
-            cb.latency_ms.to_bits(),
-            "layer `{}` latency diverged",
-            ca.layer.name
-        );
-        assert_eq!(ca.fisher.to_bits(), cb.fisher.to_bits(), "layer `{}` fisher", ca.layer.name);
-        assert_eq!(ca.named_sequence, cb.named_sequence);
-        assert_eq!(
-            format!("{:?}", ca.steps()),
-            format!("{:?}", cb.steps()),
-            "layer `{}` picked different transformation steps",
-            ca.layer.name
-        );
-    }
-}
 
 #[test]
 fn tracing_and_telemetry_do_not_perturb_plans() {
@@ -63,7 +40,7 @@ fn tracing_and_telemetry_do_not_perturb_plans() {
     let traced = optimize_serial(&network, &platform, &options);
     let report = trace.finish();
     assert!(!report.spans.is_empty(), "a live trace around a serial search must record spans");
-    assert_plans_identical(&reference.plan, &traced.plan);
+    common::assert_plans_identical("traced serial", &reference.plan, &traced.plan);
     assert_eq!(reference.stats, traced.stats, "traced search statistics diverged");
     assert_eq!(
         reference.original_fisher.to_bits(),
@@ -71,14 +48,13 @@ fn tracing_and_telemetry_do_not_perturb_plans() {
         "original fisher diverged under tracing"
     );
 
-    // Parallel search under PTE_THREADS=4 with telemetry enabled and a
-    // trace active on the driving thread (workers record to the registry
+    // Parallel search on the pinned worker count with telemetry enabled and
+    // a trace active on the driving thread (workers record to the registry
     // only — the trace is thread-local). Still bit-identical.
-    std::env::set_var("PTE_THREADS", "4");
+    common::pin_threads();
     let trace = Trace::begin(pte_telemetry::derive_trace_id(0x7e1e_0b5e, 1));
     let parallel = optimize(&network, &platform, &options);
     let _ = trace.finish();
-    std::env::remove_var("PTE_THREADS");
-    assert_plans_identical(&reference.plan, &parallel.plan);
+    common::assert_plans_identical("traced parallel", &reference.plan, &parallel.plan);
     assert_eq!(reference.stats, parallel.stats, "parallel traced statistics diverged");
 }

@@ -24,8 +24,7 @@ use pte_core::nn::{ConvLayer, DatasetKind, Network};
 use pte_core::search::eval::SearchStats;
 use pte_core::search::evolve::EvolveOptions;
 use pte_core::search::unified::UnifiedOptions;
-use pte_core::search::CancelToken;
-use pte_core::search::NetworkPlan;
+use pte_core::search::{CancelToken, NetworkPlan, SearchCtx};
 use pte_core::transform::TransformStep;
 
 use crate::json::{fnv1a64, Json, JsonResult};
@@ -499,6 +498,16 @@ impl SearchRequest {
         }
     }
 
+    /// The search driver strategy, with its options, this request asks for.
+    pub fn search_strategy(&self) -> pte_core::search::Strategy {
+        use pte_core::search::Strategy as Search;
+        match self.strategy {
+            Strategy::Baseline => Search::Baseline(self.tune_options()),
+            Strategy::Unified => Search::Unified(self.unified_options()),
+            Strategy::Evolve => Search::Evolve(self.evolve_options()),
+        }
+    }
+
     /// The tuner options this request asks for.
     pub fn tune_options(&self) -> TuneOptions {
         TuneOptions { trials: self.trials as usize, seed: self.tune_seed }
@@ -902,8 +911,8 @@ impl PlanPayload {
 /// Resolves and runs a request in-process, returning the canonical payload
 /// bytes — the function the server's cache computes misses with. Cold TCP
 /// responses, warm cache hits, and direct in-process searches all bottom out
-/// here (or in the same `optimize`/`baseline` calls it makes), which is why
-/// they are byte-identical.
+/// here (or in the same search driver it calls), which is why they are
+/// byte-identical.
 ///
 /// # Errors
 /// Spec resolution errors; the search itself is infallible.
@@ -912,7 +921,7 @@ pub fn execute(request: &SearchRequest) -> CodecResult<String> {
 }
 
 /// [`execute`] under a cooperative [`CancelToken`] — the deadline path. The
-/// token is threaded into the unified search's stage-boundary polls; an
+/// token is threaded into the search driver's stage-boundary polls; an
 /// expired deadline surfaces as [`CodecError::deadline`]. A token that never
 /// fires produces bytes identical to [`execute`] (the polls are pure control
 /// flow), so the determinism contract is untouched.
@@ -927,36 +936,11 @@ pub fn execute_cancellable(request: &SearchRequest, cancel: &CancelToken) -> Cod
     request.validate()?;
     let network = request.network.resolve()?;
     let platform = request.platform.resolve();
-    if cancel.is_cancelled() {
-        return Err(CodecError::deadline());
-    }
-    let payload = match request.strategy {
-        Strategy::Unified => {
-            let outcome = pte_core::search::unified::optimize_cancellable(
-                &network,
-                &platform,
-                &request.unified_options(),
-                cancel,
-            )
-            .map_err(|_cancelled| CodecError::deadline())?;
-            PlanPayload::from_plan(request, &outcome.plan, &outcome.stats, outcome.original_fisher)
-        }
-        Strategy::Baseline => {
-            let plan = NetworkPlan::baseline(&network, &platform, &request.tune_options());
-            let fisher = plan.fisher();
-            PlanPayload::from_plan(request, &plan, &SearchStats::default(), fisher)
-        }
-        Strategy::Evolve => {
-            let outcome = pte_core::search::evolve::optimize_cancellable(
-                &network,
-                &platform,
-                &request.evolve_options(),
-                cancel,
-            )
-            .map_err(|_cancelled| CodecError::deadline())?;
-            PlanPayload::from_plan(request, &outcome.plan, &outcome.stats, outcome.original_fisher)
-        }
-    };
+    let ctx = SearchCtx::parallel().with_cancel(cancel.clone());
+    let outcome = pte_core::search::run(&network, &platform, &request.search_strategy(), &ctx)
+        .map_err(|_cancelled| CodecError::deadline())?;
+    let payload =
+        PlanPayload::from_plan(request, &outcome.plan, &outcome.stats, outcome.original_fisher);
     Ok(payload.encode()?)
 }
 
