@@ -1,9 +1,9 @@
 //! The tuner: evaluate template instances against the cost model.
 //!
-//! Configurations are applied and cost-estimated on the worker pool
-//! (`rayon`), then reduced **sequentially in grid order** with a strict
-//! `<` comparison — so the winner is the first-best configuration exactly as
-//! in a serial sweep, and results are bit-identical for any thread count.
+//! Configurations are applied and cost-estimated on the calling thread and
+//! reduced **in grid order** with a strict `<` comparison — so the winner
+//! is the first-best configuration, and results are bit-identical however
+//! the search around the tuner is scheduled.
 
 use std::collections::HashSet;
 
@@ -15,7 +15,6 @@ use pte_machine::Platform;
 use pte_transform::Schedule;
 
 use crate::template::{candidates, CandidateConfig};
-use crate::wave;
 
 /// Tuning options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,21 +80,17 @@ pub fn tune(base: &Schedule, platform: &Platform, options: &TuneOptions) -> Tune
     let mut best_config = CandidateConfig::naive().describe();
     let mut evaluated = 1usize;
 
-    // Fan the candidate evaluations out as one ordered wave (the same
-    // primitive the search `Evaluator` uses for its candidate stages).
-    let evals: Vec<Option<(Schedule, CostReport)>> =
-        wave::map_ordered(grid[1..].iter().collect(), true, |config: &CandidateConfig| {
-            let mut candidate = base.clone();
-            if config.apply(&mut candidate) == 0 {
-                return None;
-            }
-            let report = estimate(&candidate, platform);
-            Some((candidate, report))
-        });
-
-    // Deterministic min-reduction in grid order (first-best wins ties).
-    for (config, eval) in grid[1..].iter().zip(evals) {
-        let Some((candidate, report)) = eval else { continue };
+    // A sweep is a few microseconds of cost-model estimates — far below
+    // the cost of a fan-out — so it runs on the calling thread: a pool
+    // task when the search fans out over layer classes, the calling
+    // thread itself under a serial search. Min-reduction in grid order
+    // (first-best wins ties).
+    for config in &grid[1..] {
+        let mut candidate = base.clone();
+        if config.apply(&mut candidate) == 0 {
+            continue;
+        }
+        let report = estimate(&candidate, platform);
         evaluated += 1;
         if report.time_ms < best_report.time_ms {
             best_report = report;

@@ -213,7 +213,9 @@ pub fn set_probe_cache_capacity(capacity: Option<usize>) {
 ///   concurrent waves interleave;
 /// * `misses` equals the number of probes executed or in flight (two waves
 ///   racing on the same shape both miss, both probe, and both count — the
-///   cost really was paid twice);
+///   cost really was paid twice). Concurrent searches race this way, and so
+///   do two layer classes of one search, whose tasks the search driver runs
+///   on the pool at once;
 /// * `evictions` equals new insertions minus live `entries`, once in-flight
 ///   waves have drained.
 ///
@@ -580,14 +582,14 @@ struct WaveMember {
 /// the memo-aware wrapper.
 ///
 /// Per class, the minibatch is built once and lowered once
-/// ([`im2col_batch`]); every member × repeat × group convolution then runs
-/// as one wide multi-image GEMM against the shared patch matrix
+/// ([`im2col_batch`]); every member × group convolution of a repeat then
+/// runs in one wide multi-image GEMM wave against the shared patch matrix
 /// ([`gemm_nn_batch`]), which amortises the lowering that the per-candidate
 /// path re-does `PROXY_BATCH × PROBE_REPEATS` times per candidate and raises
 /// the GEMMs' arithmetic intensity 8×. On the packed micro-kernel path the
 /// batch executor additionally packs each class's shared patch-matrix band
 /// once per wave (tasks are grouped by `B` operand identity), so every
-/// member × repeat product runs against one pre-packed panel.
+/// member product of a repeat runs against one pre-packed panel.
 ///
 /// The probe **tail** is batched too: members stack by post-truncation
 /// geometry into [`TailClass`]es, and each class × repeat runs one
@@ -627,8 +629,9 @@ pub fn probe_wave(shapes: &[ConvShape], seed: u64) -> Vec<f64> {
 }
 
 /// Executes one shape class: shared minibatch, one batched lowering, one
-/// GEMM wave, then class-wide stacked tail waves (one per tail geometry ×
-/// repeat) with every RNG draw hoisted into pooled per-class streams.
+/// GEMM wave per repeat, then class-wide stacked tail waves (one per tail
+/// geometry × repeat) with every RNG draw hoisted into pooled per-class
+/// streams.
 fn probe_class(members: Vec<WaveMember>) -> Vec<(usize, f64)> {
     let seed = members[0].seed;
     let c_in = members[0].spec.c_in;
@@ -670,54 +673,50 @@ fn probe_class(members: Vec<WaveMember>) -> Vec<(usize, f64)> {
     // so slicing one pooled draw and applying each member's own
     // `√(2/fan_in)` reproduces `Tensor::kaiming`'s exact tensor — the
     // per-member `ln`/`sqrt`/`sin_cos` work collapses to once per class ×
-    // repeat. The products below then run as one GEMM wave against the
-    // shared patch matrix.
+    // repeat. Each repeat's products then run as one GEMM wave against the
+    // shared patch matrix. Repeats go one at a time, refilling one pool and
+    // the member weight buffers in place, so only one repeat's draws are
+    // ever live: several classes' probes can be in flight at once, and the
+    // buffers are allocated once per class rather than freed mid-probe.
+    let repeats = PROBE_REPEATS as usize;
     let max_w_len =
         gemm_members.iter().map(|m| m.spec.weight_dims().iter().product()).max().unwrap_or(0);
-    let weight_pools: Vec<Vec<f32>> = (0..PROBE_REPEATS)
-        .map(|r| normal_pool(derive_seed(seed, 2 + r * 7919), max_w_len))
-        .collect();
-    let weights: Vec<Vec<Tensor>> = gemm_members
+    let mut scratches: Vec<Vec<f32>> = gemm_members
         .iter()
-        .map(|m| {
-            let dims = m.spec.weight_dims();
-            let len: usize = dims.iter().product();
-            let fan_in: usize = dims.iter().skip(1).product::<usize>().max(1);
+        .flat_map(|m| (0..repeats).map(move |_| vec![0.0f32; m.spec.c_out * batch_cols]))
+        .collect();
+    let mut weights: Vec<Vec<f32>> =
+        gemm_members.iter().map(|m| vec![0.0f32; m.spec.weight_dims().iter().product()]).collect();
+    let mut pool = Vec::with_capacity(max_w_len);
+    for r in 0..PROBE_REPEATS {
+        pool.clear();
+        fill_normal(&mut seeded(derive_seed(seed, 2 + r * 7919)), max_w_len, &mut pool);
+        for (m, wt) in gemm_members.iter().zip(&mut weights) {
+            let fan_in: usize = m.spec.weight_dims().iter().skip(1).product::<usize>().max(1);
             let std = (2.0 / fan_in as f32).sqrt();
-            weight_pools
-                .iter()
-                .map(|pool| {
-                    let data: Vec<f32> = pool[..len].iter().map(|v| v * std).collect();
-                    Tensor::from_vec(&dims, data).expect("pooled weight shape")
-                })
-                .collect()
-        })
-        .collect();
-    let metas: Vec<(usize, usize)> = (0..gemm_members.len())
-        .flat_map(|mi| (0..PROBE_REPEATS as usize).map(move |r| (mi, r)))
-        .collect();
-    let mut scratches: Vec<Vec<f32>> = metas
-        .iter()
-        .map(|&(mi, _)| vec![0.0f32; gemm_members[mi].spec.c_out * batch_cols])
-        .collect();
-    let mut tasks = Vec::new();
-    for (&(mi, r), scratch) in metas.iter().zip(scratches.iter_mut()) {
-        let spec = &gemm_members[mi].spec;
-        let cog = spec.c_out_per_group();
-        let group_rows = spec.c_in_per_group() * spec.kernel * spec.kernel;
-        let wt = weights[mi][r].as_slice();
-        for (g, c_chunk) in scratch.chunks_mut(cog * batch_cols).enumerate() {
-            tasks.push(GemmNnTask {
-                m: cog,
-                k: group_rows,
-                n: batch_cols,
-                a: &wt[g * cog * group_rows..],
-                b: &col[g * group_rows * batch_cols..],
-                c: c_chunk,
-            });
+            for (w, v) in wt.iter_mut().zip(&pool) {
+                *w = v * std;
+            }
         }
+        let mut tasks = Vec::new();
+        let member_scratches = scratches.iter_mut().skip(r as usize).step_by(repeats);
+        for ((m, wt), scratch) in gemm_members.iter().zip(&weights).zip(member_scratches) {
+            let spec = &m.spec;
+            let cog = spec.c_out_per_group();
+            let group_rows = spec.c_in_per_group() * spec.kernel * spec.kernel;
+            for (g, c_chunk) in scratch.chunks_mut(cog * batch_cols).enumerate() {
+                tasks.push(GemmNnTask {
+                    m: cog,
+                    k: group_rows,
+                    n: batch_cols,
+                    a: &wt[g * cog * group_rows..],
+                    b: &col[g * group_rows * batch_cols..],
+                    c: c_chunk,
+                });
+            }
+        }
+        gemm_nn_batch(tasks);
     }
-    gemm_nn_batch(tasks);
 
     // ---- class-wide tail waves ----
     //

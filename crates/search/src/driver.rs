@@ -2,19 +2,22 @@
 //!
 //! The paper's framing is a single transformation-exploration loop over
 //! layer classes in which approaches differ only in how they propose
-//! candidates. [`run`] is that loop, written once: compile the baseline
-//! plan, visit every mutable layer class, let the [`Strategy`] explore it
-//! through the shared [`Evaluator`], keep each class's tuned legal
-//! candidates on a ladder, and finally enforce the network-level Fisher
-//! floor over the assembled plan. Each strategy module contributes only its
-//! per-class `explore_class` step.
+//! candidates. [`run`] is that loop, written once: one task per layer
+//! class compiles the class's baseline choice and, for a mutable class,
+//! lets the [`Strategy`] explore it through the shared [`Evaluator`],
+//! keeping the class's tuned legal candidates on a ladder. The tasks are
+//! folded in class order into the plan, and the network-level Fisher floor
+//! is enforced over the assembled plan. Each strategy module contributes
+//! only its per-class `explore_class` step.
 //!
-//! How the search runs — on the worker pool or strictly on the calling
-//! thread, under which cancellation token — is the [`SearchCtx`], passed
-//! once. The serial and parallel contexts produce **bit-identical** plans
-//! and statistics: every candidate evaluation is a pure function of the
-//! candidate, and every reduction runs sequentially in candidate order over
-//! order-preserved results (pinned by `tests/driver_parity.rs`). A token
+//! How the search runs — class tasks on the worker pool or strictly on the
+//! calling thread, under which cancellation token — is the [`SearchCtx`],
+//! passed once. On the pool, a class's nested waves (candidate fan-out,
+//! probe shape classes) run inline on its worker. The serial and parallel
+//! contexts produce **bit-identical** plans and statistics: every candidate
+//! evaluation is a pure function of the candidate, and every reduction runs
+//! sequentially in class and candidate order over order-preserved results
+//! (pinned by `tests/driver_parity.rs`). A token
 //! that never fires is invisible: its polls are pure control flow and touch
 //! no numeric path.
 
@@ -28,7 +31,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::eval::{Evaluator, SearchStats};
 use crate::evolve::{self, EvolveOptions};
 use crate::fbnet::{self, FbnetOptions};
-use crate::plan::{enforce_network_legality, ChoiceLadders, NetworkPlan};
+use crate::plan::{enforce_network_legality, ChoiceLadders, LayerChoice, NetworkPlan};
 use crate::unified::{self, UnifiedOptions};
 
 /// How a search runs: worker-pool fan-out or the calling thread only, and
@@ -41,8 +44,8 @@ pub struct SearchCtx {
 }
 
 impl SearchCtx {
-    /// Fans baseline compilation and candidate evaluation out over the
-    /// worker pool; never cancelled.
+    /// Fans the layer classes (baseline compilation and exploration) out
+    /// over the worker pool; never cancelled.
     pub fn parallel() -> Self {
         SearchCtx { parallel: true, cancel: CancelToken::never() }
     }
@@ -93,6 +96,14 @@ pub struct SearchOutcome {
     pub original_fisher: f64,
 }
 
+/// One layer class's share of a search, folded by [`run`] in class order.
+/// The ladder's first rung is the class's baseline choice.
+struct ClassOutcome {
+    winner: LayerChoice,
+    ladder: Vec<LayerChoice>,
+    stats: SearchStats,
+}
+
 /// Runs `strategy` on `network` for `platform` under `ctx`.
 ///
 /// # Errors
@@ -112,38 +123,55 @@ pub fn run(
         Strategy::Fbnet(o) => (o.tune, Some((o.legality, o.network_legality))),
     };
     let mut evaluator = Evaluator::new(platform, tune);
+    if let Some((class_legality, _)) = legality {
+        evaluator = evaluator.with_class_legality(class_legality);
+    }
     if !ctx.parallel {
         evaluator = evaluator.serial();
     }
 
-    // The baseline plan: layer classes are independent, so their tuning fans
-    // out with the order-preserving reduction. Compiling it is one bounded
-    // autotune pass per class, so it stays atomic under cancellation.
-    let choices = wave::map_ordered(network.distinct_configs(), ctx.parallel, |layer| {
+    // One task per layer class — classes are independent: compile its
+    // baseline choice (one bounded autotune pass, atomic under
+    // cancellation), then let the strategy explore it with a task-local
+    // ladder and statistics. The nested waves run inline on the class's
+    // worker, so the pool stays busy across classes rather than within
+    // one class's small waves.
+    let classes: Vec<_> = network.distinct_configs().into_iter().enumerate().collect();
+    let per_class = wave::map_ordered(classes, ctx.parallel, |(idx, layer)| {
+        ctx.cancel.check()?;
         let multiplicity = network.config_multiplicity(layer);
-        evaluator.tune_candidate(layer, multiplicity, vec![layer.to_schedule()])
+        let baseline = evaluator.tune_candidate(layer, multiplicity, vec![layer.to_schedule()]);
+        let mut ladder = vec![baseline.clone()];
+        let mut stats = SearchStats::default();
+        let (e, c, s, l) = (&evaluator, &ctx.cancel, &mut stats, &mut ladder);
+        let winner = match strategy {
+            Strategy::Unified(o) if layer.mutable => {
+                unified::explore_class(o, idx, &baseline, e, c, s, l)?
+            }
+            Strategy::Evolve(o) if layer.mutable => {
+                evolve::explore_class(o, idx, &baseline, e, c, s, l)?
+            }
+            Strategy::Fbnet(_) if layer.mutable => fbnet::explore_class(&baseline, e, c, s, l)?,
+            _ => baseline,
+        };
+        Ok(ClassOutcome { winner, ladder, stats })
     });
-    let mut plan = NetworkPlan { network: network.clone(), choices };
+
+    // Fold in class order: the first cancellation wins, then baseline
+    // choices (the original Fisher), winners, ladders and statistics.
+    let per_class = per_class.into_iter().collect::<Result<Vec<_>, Cancelled>>()?;
+    let baseline = per_class.iter().map(|c| c.ladder[0].clone()).collect();
+    let mut plan = NetworkPlan { network: network.clone(), choices: baseline };
     let original_fisher = plan.fisher();
     let mut stats = SearchStats::default();
-    let Some((class_legality, network_legality)) = legality else {
+    let Some((_, network_legality)) = legality else {
         return Ok(SearchOutcome { plan, stats, elapsed: start.elapsed(), original_fisher });
     };
-
-    let evaluator = evaluator.with_class_legality(class_legality);
-    let mut ladders: ChoiceLadders = plan.choices.iter().map(|c| vec![c.clone()]).collect();
-    for (idx, ladder) in ladders.iter_mut().enumerate() {
-        let incumbent = plan.choices[idx].clone();
-        if incumbent.layer.mutable {
-            // Evaluator, token, running stats and the class ladder.
-            let (e, c, s, l) = (&evaluator, &ctx.cancel, &mut stats, ladder);
-            plan.choices[idx] = match strategy {
-                Strategy::Baseline(_) => incumbent, // returned above; explores nothing
-                Strategy::Unified(o) => unified::explore_class(o, idx, &incumbent, e, c, s, l)?,
-                Strategy::Evolve(o) => evolve::explore_class(o, idx, &incumbent, e, c, s, l)?,
-                Strategy::Fbnet(_) => fbnet::explore_class(&incumbent, e, c, s, l)?,
-            };
-        }
+    let mut ladders: ChoiceLadders = Vec::with_capacity(per_class.len());
+    for (choice, class) in plan.choices.iter_mut().zip(per_class) {
+        *choice = class.winner;
+        ladders.push(class.ladder);
+        stats.merge(&class.stats);
     }
 
     // If stacking every per-class winner dropped the network below the

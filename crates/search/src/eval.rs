@@ -390,9 +390,8 @@ impl<'a> Evaluator<'a> {
             }
         };
         let items: Vec<(Candidate, bool)> = candidates.into_iter().zip(gated).collect();
-        // Stage 4 — the per-candidate legality + autotune fan-out. The
-        // driver-side span brackets the whole wave; pool threads are not
-        // traced individually.
+        // Stage 4 — the per-candidate legality + autotune fan-out, one
+        // span around the whole wave.
         let evals = {
             let _stage = span("eval_autotune");
             wave::map_ordered(items, self.parallel, evaluate)

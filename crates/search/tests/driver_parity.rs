@@ -2,9 +2,10 @@
 //! under the serial and the parallel [`SearchCtx`]: same winner per layer
 //! class, same latencies and Fisher scores to the last bit, same schedules,
 //! same statistics — for any worker count — and a repeat run replays
-//! exactly. This is the contract that lets the driver fan baseline
-//! compilation and candidate evaluation out without changing a single
-//! search result. Own binary, so pinning `PTE_THREADS` cannot race other
+//! exactly. This is the contract that lets the driver fan its layer
+//! classes out over the pool without changing a single search result. A
+//! token fired mid-search yields `Cancelled` or that same plan, never a
+//! partial one. Own binary, so pinning `PTE_THREADS` cannot race other
 //! tests' env reads.
 
 mod common;
@@ -77,6 +78,37 @@ fn fired_token_aborts_every_strategy_without_a_plan() {
         for ctx in [SearchCtx::serial(), SearchCtx::parallel()] {
             let result = run(&network, &platform, &strategy, &ctx.with_cancel(token.clone()));
             assert_eq!(result.unwrap_err(), Cancelled, "{name}");
+        }
+    }
+}
+
+#[test]
+fn mid_search_cancel_yields_cancelled_or_the_reference_plan() {
+    common::pin_threads();
+    let network = resnet18(DatasetKind::Cifar10);
+    let platform = Platform::intel_i7();
+    for (name, strategy) in strategies() {
+        let reference = run(&network, &platform, &strategy, &SearchCtx::serial())
+            .expect("a never-token cannot cancel");
+        // Fire the token from another thread at staggered points of the
+        // search, under both contexts: every outcome is either Cancelled or
+        // the complete reference plan — never a partial one.
+        for delay_ms in [0, 1, 3, 10, 30] {
+            for ctx in [SearchCtx::serial(), SearchCtx::parallel()] {
+                let token = CancelToken::new();
+                let canceller = token.clone();
+                let fire = std::thread::spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(delay_ms));
+                    canceller.cancel();
+                });
+                let result = run(&network, &platform, &strategy, &ctx.with_cancel(token));
+                fire.join().expect("canceller thread");
+                if let Ok(outcome) = result {
+                    let what = format!("{name} cancelled after {delay_ms} ms");
+                    common::assert_plans_identical(&what, &reference.plan, &outcome.plan);
+                    assert_eq!(reference.stats, outcome.stats, "{what}: statistics diverged");
+                }
+            }
         }
     }
 }

@@ -7,15 +7,22 @@
 //! determinism caveat: spans read the clock and write atomics, and nothing
 //! the search computes ever depends on either.
 //!
-//! Everything lives in one `#[test]` because `PTE_THREADS` is process-wide
-//! state; a single test body keeps the env mutation race-free.
+//! Tracing is also **schedule-independent**: a search on the worker pool
+//! carries its trace onto the pool threads, so its span tree has the same
+//! names, nesting and child order as the serial search's.
+//!
+//! Both tests pin the same `PTE_THREADS` before their parallel legs, so the
+//! process-wide env mutation cannot change what the other one observes.
 
 mod common;
 
+use pte_autotune::TuneOptions;
 use pte_machine::Platform;
 use pte_nn::{resnet18, DatasetKind};
+use pte_search::evolve::EvolveOptions;
 use pte_search::unified::{optimize, optimize_serial, UnifiedOptions};
-use pte_telemetry::Trace;
+use pte_search::{run, SearchCtx, Strategy};
+use pte_telemetry::{SpanNode, Trace, TraceReport};
 
 #[test]
 fn tracing_and_telemetry_do_not_perturb_plans() {
@@ -49,12 +56,69 @@ fn tracing_and_telemetry_do_not_perturb_plans() {
     );
 
     // Parallel search on the pinned worker count with telemetry enabled and
-    // a trace active on the driving thread (workers record to the registry
-    // only — the trace is thread-local). Still bit-identical.
+    // a trace active on the driving thread, which the class tasks carry
+    // onto the pool. Still bit-identical.
     common::pin_threads();
     let trace = Trace::begin(pte_telemetry::derive_trace_id(0x7e1e_0b5e, 1));
     let parallel = optimize(&network, &platform, &options);
     let _ = trace.finish();
     common::assert_plans_identical("traced parallel", &reference.plan, &parallel.plan);
     assert_eq!(reference.stats, parallel.stats, "parallel traced statistics diverged");
+}
+
+/// Names, nesting and child order of a span forest; times are ignored.
+fn shape(nodes: &[SpanNode]) -> String {
+    let parts: Vec<String> = nodes
+        .iter()
+        .map(|n| {
+            if n.children.is_empty() {
+                n.name.to_string()
+            } else {
+                format!("{}({})", n.name, shape(&n.children))
+            }
+        })
+        .collect();
+    parts.join(",")
+}
+
+#[test]
+fn serial_and_parallel_searches_trace_the_same_tree() {
+    common::pin_threads();
+    let network = resnet18(DatasetKind::Cifar10);
+    let platform = Platform::intel_i7();
+    let tune = TuneOptions { trials: 16, seed: 0 };
+    let strategies = [
+        (
+            "unified",
+            Strategy::Unified(UnifiedOptions { random_per_layer: 8, tune, ..Default::default() }),
+        ),
+        (
+            "evolve",
+            Strategy::Evolve(EvolveOptions {
+                generation_size: 4,
+                generations: 2,
+                tune,
+                ..Default::default()
+            }),
+        ),
+    ];
+    for (name, strategy) in strategies {
+        let traced = |ctx: SearchCtx| -> TraceReport {
+            let trace = Trace::begin(pte_telemetry::derive_trace_id(0x5ba9e, 0));
+            {
+                let _root = pte_telemetry::span("search");
+                run(&network, &platform, &strategy, &ctx).expect("a never-token cannot cancel");
+            }
+            trace.finish()
+        };
+        let serial = traced(SearchCtx::serial());
+        let parallel = traced(SearchCtx::parallel());
+        let serial_shape = shape(&serial.spans);
+        assert!(
+            serial_shape.starts_with("search(") && serial_shape.contains("eval_autotune"),
+            "{name}: the serial trace must record the Evaluator's stages: {serial_shape}"
+        );
+        assert_eq!(serial_shape, shape(&parallel.spans), "{name}: span tree shape diverged");
+        assert_eq!(serial.truncated, parallel.truncated, "{name}: truncation diverged");
+    }
 }

@@ -5,12 +5,11 @@
 //! The trace field lives *outside* the canonical request subtree, so
 //! tracing a request can never fork its cache entry.
 //!
-//! Own test binary with a single `#[test]`: the Evaluator's stage spans
-//! land in the request's trace only when candidate evaluation runs on the
-//! serving worker thread itself (the trace is thread-local), so the test
-//! pins `PTE_THREADS=1` — the rayon shim then runs every parallel map
-//! inline. Pinning the env var is only race-free in a binary that runs
-//! nothing else.
+//! The search runs on the worker pool, so its stage spans open on pool
+//! threads and join the request's trace through the wave's fork/graft. An
+//! externally set `PTE_THREADS` is honoured (CI loops it over several
+//! values), otherwise it is pinned to 2 — in its own test binary with a
+//! single `#[test]`, where pinning the env var races nothing.
 
 use pte_serve::client::Client;
 use pte_serve::codec::{self, NetworkSpec, PlatformId, SearchRequest};
@@ -70,7 +69,9 @@ const STAGES: [&str; 4] = ["eval_structural", "eval_cost_gate", "eval_fisher", "
 
 #[test]
 fn traced_requests_return_stage_spans_without_perturbing_payloads() {
-    std::env::set_var("PTE_THREADS", "1");
+    if std::env::var_os("PTE_THREADS").is_none() {
+        std::env::set_var("PTE_THREADS", "2");
+    }
 
     let handle = serve(&ServerConfig { workers: 2, ..ServerConfig::default() })
         .expect("bind ephemeral port");
@@ -129,5 +130,4 @@ fn traced_requests_return_stage_spans_without_perturbing_payloads() {
     assert_eq!(json_warm.payload_canonical, bin_cold.payload_canonical);
 
     handle.join();
-    std::env::remove_var("PTE_THREADS");
 }

@@ -35,7 +35,10 @@ mod trace;
 pub use hist::{bucket_bounds_of, bucket_index_of};
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use metrics::{global, Counter, Gauge, Metric, Registry};
-pub use trace::{derive_trace_id, span, Span, SpanNode, Trace, TraceReport, MAX_TRACE_NODES};
+pub use trace::{
+    derive_trace_id, fork, graft, span, Span, SpanNode, Trace, TraceBranch, TraceFork, TraceReport,
+    MAX_TRACE_NODES,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -10,9 +10,14 @@
 //! Spans work across the serve stack without any context plumbing
 //! because the single-flight cache runs the leader's compute closure on
 //! the calling worker thread: the thread that installed the trace is the
-//! thread the Evaluator's stage spans fire on. Fan-out work inside
-//! `wave::map_ordered` runs on pool threads and is deliberately not
-//! traced per-item — the driver-side stage span already brackets it.
+//! thread the search starts on. Fan-out work inside `wave::map_ordered`
+//! (one search task per layer class, the Evaluator's candidate waves)
+//! runs on pool threads, so the wave carries the trace across: [`fork`]
+//! captures a `Send` [`TraceFork`] (trace id + epoch) on the calling
+//! thread, [`TraceFork::run`] records each item into its own child stack
+//! on whichever thread runs it, and [`graft`] attaches the items' closed
+//! subtrees under the caller's open span in input order — the same tree,
+//! node cap included, that running the items inline would have built.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -103,19 +108,10 @@ impl Trace {
     /// (defensive; guard scoping makes that unreachable in practice).
     pub fn finish(self) -> TraceReport {
         let state = ACTIVE.with(|a| a.borrow_mut().take());
-        let Some(mut state) = state else {
+        let Some(state) = state else {
             return TraceReport { trace_id: 0, spans: Vec::new(), truncated: 0 };
         };
-        while let Some(open) = state.stack.pop() {
-            let now_us = saturating_us(state.started.elapsed());
-            let node = SpanNode {
-                name: open.name,
-                start_us: open.start_us,
-                elapsed_us: now_us.saturating_sub(open.start_us),
-                children: open.children,
-            };
-            attach(&mut state, node);
-        }
+        let state = close_open(state);
         TraceReport { trace_id: state.trace_id, spans: state.roots, truncated: state.truncated }
     }
 }
@@ -130,16 +126,141 @@ fn saturating_us(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
+/// Folds spans still open into the tree with their elapsed-so-far
+/// durations.
+fn close_open(mut state: TraceState) -> TraceState {
+    while let Some(open) = state.stack.pop() {
+        let now_us = saturating_us(state.started.elapsed());
+        let node = SpanNode {
+            name: open.name,
+            start_us: open.start_us,
+            elapsed_us: now_us.saturating_sub(open.start_us),
+            children: open.children,
+        };
+        attach(&mut state, node);
+    }
+    state
+}
+
+/// Where the next closed node goes: under the innermost open span, or at
+/// the top level.
+fn open_parent(state: &mut TraceState) -> &mut Vec<SpanNode> {
+    match state.stack.last_mut() {
+        Some(parent) => &mut parent.children,
+        None => &mut state.roots,
+    }
+}
+
 fn attach(state: &mut TraceState, node: SpanNode) {
     if state.nodes >= MAX_TRACE_NODES {
         state.truncated += 1;
         return;
     }
     state.nodes += 1;
-    match state.stack.last_mut() {
-        Some(parent) => parent.children.push(node),
-        None => state.roots.push(node),
+    open_parent(state).push(node);
+}
+
+/// A `Send` handle to the trace installed on the thread that called
+/// [`fork`]: its id and epoch, so spans recorded on another thread share
+/// the trace's clock origin.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceFork {
+    trace_id: u64,
+    started: Instant,
+}
+
+/// The closed span subtrees one [`TraceFork::run`] recorded, waiting to be
+/// [`graft`]ed into the forking trace.
+#[derive(Debug, Default)]
+pub struct TraceBranch {
+    roots: Vec<SpanNode>,
+    /// Nodes the branch attached (including any later lost with a dropped
+    /// ancestor) — the branch's own node-cap accounting.
+    nodes: usize,
+    truncated: u64,
+}
+
+/// Captures a fork handle for the trace installed on this thread, if any.
+pub fn fork() -> Option<TraceFork> {
+    ACTIVE.with(|a| {
+        a.borrow().as_ref().map(|s| TraceFork { trace_id: s.trace_id, started: s.started })
+    })
+}
+
+/// Puts a saved trace back on the thread when dropped — also on unwind.
+struct Reinstall(Option<TraceState>);
+
+impl Drop for Reinstall {
+    fn drop(&mut self) {
+        let saved = self.0.take();
+        ACTIVE.with(|a| *a.borrow_mut() = saved);
     }
+}
+
+impl TraceFork {
+    /// Runs `f` on this thread under a child trace with the handle's id and
+    /// epoch and an empty span stack, and returns `f`'s result with the
+    /// spans it closed. Whatever trace this thread already had — the
+    /// forking trace itself when a pool runs the item inline, or an
+    /// enclosing item's child — is saved and reinstalled afterwards.
+    pub fn run<R>(&self, f: impl FnOnce() -> R) -> (R, TraceBranch) {
+        let child = TraceState {
+            trace_id: self.trace_id,
+            started: self.started,
+            stack: Vec::new(),
+            roots: Vec::new(),
+            nodes: 0,
+            truncated: 0,
+        };
+        let saved = Reinstall(ACTIVE.with(|a| a.borrow_mut().replace(child)));
+        let out = f();
+        let child = ACTIVE.with(|a| a.borrow_mut().take());
+        drop(saved);
+        let branch = match child.map(close_open) {
+            Some(c) => TraceBranch { roots: c.roots, nodes: c.nodes, truncated: c.truncated },
+            None => TraceBranch::default(),
+        };
+        (out, branch)
+    }
+}
+
+/// Attaches `branches`, in the order given, under the span open on this
+/// thread (or at the top level), exactly as if their spans had closed here
+/// one branch after another. The [`MAX_TRACE_NODES`] cap is applied in
+/// that same post-order: a branch's nodes past the remaining capacity are
+/// counted as truncated, and a dropped node takes its subtree with it.
+/// A no-op when no trace is installed.
+pub fn graft(branches: impl IntoIterator<Item = TraceBranch>) {
+    ACTIVE.with(|a| {
+        let mut active = a.borrow_mut();
+        let Some(state) = active.as_mut() else { return };
+        for branch in branches {
+            let capacity = MAX_TRACE_NODES.saturating_sub(state.nodes);
+            let mut seen = 0;
+            let kept: Vec<SpanNode> = branch
+                .roots
+                .into_iter()
+                .filter_map(|root| cut_post_order(root, capacity, &mut seen))
+                .collect();
+            open_parent(state).extend(kept);
+            let attached = branch.nodes.min(capacity);
+            state.nodes += attached;
+            state.truncated += branch.truncated + (branch.nodes - attached) as u64;
+        }
+    });
+}
+
+/// Keeps the nodes of `node`'s subtree whose post-order index, counted on
+/// from `*seen`, is below `capacity`. A branch's surviving nodes are a
+/// prefix of its attach order, so these indices are the serial ones.
+fn cut_post_order(mut node: SpanNode, capacity: usize, seen: &mut usize) -> Option<SpanNode> {
+    node.children = std::mem::take(&mut node.children)
+        .into_iter()
+        .filter_map(|child| cut_post_order(child, capacity, seen))
+        .collect();
+    let index = *seen;
+    *seen += 1;
+    (index < capacity).then_some(node)
 }
 
 /// RAII span guard: on drop, records the duration into the registry
@@ -241,6 +362,169 @@ mod tests {
         let report = trace.finish();
         assert_eq!(report.spans.len(), MAX_TRACE_NODES);
         assert_eq!(report.truncated, 10);
+    }
+
+    /// Names and nesting of a span forest, times ignored.
+    fn shape(nodes: &[SpanNode]) -> String {
+        let parts: Vec<String> = nodes
+            .iter()
+            .map(|n| {
+                if n.children.is_empty() {
+                    n.name.to_string()
+                } else {
+                    format!("{}({})", n.name, shape(&n.children))
+                }
+            })
+            .collect();
+        parts.join(",")
+    }
+
+    /// One work item: an `item` span holding `i` leaves, one of which
+    /// nests a `deep` span.
+    fn item(i: usize) {
+        let _item = span("item");
+        for l in 0..i {
+            let _leaf = span("leaf");
+            if l == 1 {
+                let _deep = span("deep");
+            }
+        }
+    }
+
+    /// Runs `items` under an `outer` span on a fresh trace: inline on this
+    /// thread (the reference), or forked — each item on its own thread, in
+    /// reverse spawn order, grafted back in input order.
+    fn traced(prefill: usize, items: &[usize], forked: bool) -> TraceReport {
+        let trace = Trace::begin(7);
+        for _ in 0..prefill {
+            let _s = span("prefill");
+        }
+        {
+            let _outer = span("outer");
+            if forked {
+                let handle = fork().expect("a trace is installed");
+                let mut branches: Vec<(usize, TraceBranch)> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = items
+                        .iter()
+                        .enumerate()
+                        .rev()
+                        .map(|(ix, &i)| scope.spawn(move || (ix, handle.run(|| item(i)).1)))
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                branches.sort_by_key(|&(ix, _)| ix);
+                graft(branches.into_iter().map(|(_, b)| b));
+            } else {
+                items.iter().for_each(|&i| item(i));
+            }
+        }
+        trace.finish()
+    }
+
+    fn assert_same_tree(a: &TraceReport, b: &TraceReport) {
+        assert_eq!(shape(&a.spans), shape(&b.spans));
+        assert_eq!(a.truncated, b.truncated);
+    }
+
+    #[test]
+    fn pooled_items_graft_like_inline_spans() {
+        let items = [3, 0, 5, 2];
+        let inline = traced(0, &items, false);
+        let pooled = traced(0, &items, true);
+        assert_eq!(shape(&inline.spans), "outer(item(leaf,leaf(deep),leaf),item,item(leaf,leaf(deep),leaf,leaf,leaf),item(leaf,leaf(deep)))");
+        assert_same_tree(&inline, &pooled);
+        assert_eq!(pooled.trace_id, 7);
+    }
+
+    #[test]
+    fn inline_fork_restores_the_callers_trace() {
+        let trace = Trace::begin(3);
+        {
+            let _outer = span("outer");
+            let handle = fork().unwrap();
+            // Run inline: the item records into its own child stack, never
+            // into the forking trace, which is reinstalled afterwards.
+            let (seen_id, branch) = handle.run(|| {
+                item(2);
+                fork().map(|f| f.trace_id)
+            });
+            assert_eq!(seen_id, Some(3), "a forked item runs under the forking trace id");
+            let ((), empty) = handle.run(|| ());
+            graft([branch, empty]);
+        }
+        let report = trace.finish();
+        assert_eq!(shape(&report.spans), "outer(item(leaf,leaf(deep)))");
+        assert_eq!(report.truncated, 0);
+    }
+
+    #[test]
+    fn nested_forks_graft_into_their_enclosing_item() {
+        let nested = |forked: bool| {
+            let trace = Trace::begin(9);
+            {
+                let _outer = span("outer");
+                let run_class = |c: usize| {
+                    let _class = span("class");
+                    let items = [c, c + 1];
+                    if forked {
+                        let handle = fork().unwrap();
+                        let branches: Vec<TraceBranch> = std::thread::scope(|scope| {
+                            let hs: Vec<_> = items
+                                .iter()
+                                .map(|&i| scope.spawn(move || handle.run(|| item(i)).1))
+                                .collect();
+                            hs.into_iter().map(|h| h.join().unwrap()).collect()
+                        });
+                        graft(branches);
+                    } else {
+                        items.iter().for_each(|&i| item(i));
+                    }
+                };
+                if forked {
+                    let handle = fork().unwrap();
+                    let branches: Vec<TraceBranch> = std::thread::scope(|scope| {
+                        let hs: Vec<_> = (0..3)
+                            .map(|c| scope.spawn(move || handle.run(|| run_class(c)).1))
+                            .collect();
+                        hs.into_iter().map(|h| h.join().unwrap()).collect()
+                    });
+                    graft(branches);
+                } else {
+                    (0..3).for_each(run_class);
+                }
+            }
+            trace.finish()
+        };
+        let inline = nested(false);
+        let pooled = nested(true);
+        assert!(shape(&inline.spans).starts_with("outer(class(item,item(leaf)),class("));
+        assert_same_tree(&inline, &pooled);
+    }
+
+    #[test]
+    fn node_cap_crossed_mid_graft_matches_inline() {
+        let items = [4, 1, 3, 6];
+        // Every item is 1 + i + (i >= 2) nodes; sweep the remaining
+        // capacity across every position of the forked subtrees.
+        for left in 0..=20 {
+            let prefill = MAX_TRACE_NODES - left;
+            let inline = traced(prefill, &items, false);
+            let pooled = traced(prefill, &items, true);
+            assert_same_tree(&inline, &pooled);
+            assert!(inline.truncated > 0, "capacity {left} must truncate");
+        }
+    }
+
+    #[test]
+    fn graft_without_a_trace_is_a_no_op() {
+        let handle = {
+            let _trace = Trace::begin(5);
+            fork().unwrap()
+        };
+        let ((), branch) = handle.run(|| item(2));
+        assert!(fork().is_none(), "the child trace is uninstalled after the run");
+        graft([branch]);
+        assert!(fork().is_none());
     }
 
     #[test]
