@@ -25,6 +25,12 @@
 //!   un-touched entry leaves first, and in-flight computations are never
 //!   evicted.
 //!
+//! A ready entry is a [`CachedPlan`]: the canonical JSON payload plus, once
+//! a binary client has asked for it, the payload packed for the binary
+//! codec. The packed form lives and dies with its entry, so a warm binary
+//! hit copies bytes instead of re-parsing and re-packing the JSON, and the
+//! capacity bound covers both forms.
+//!
 //! A compute that fails — panic or `Err` — publishes nothing: the pending
 //! slot is unpublished and the flight transitions to a terminal `Failed`
 //! state carrying the leader's error message. Waiters all wake; exactly
@@ -35,10 +41,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, LazyLock, Mutex};
+use std::sync::{Arc, Condvar, LazyLock, Mutex, OnceLock};
 use std::time::Instant;
 
 use pte_telemetry::Histogram;
+
+use crate::codec::{CodecResult, PlanPayload};
+use crate::codec_bin;
 
 /// Fetch latency split by outcome: hits (including peeks) versus non-hits
 /// (leader computes and coalesced waits — everything that paid for a
@@ -49,11 +58,47 @@ static CACHE_HIT_US: LazyLock<Histogram> =
 static CACHE_MISS_US: LazyLock<Histogram> =
     LazyLock::new(|| pte_telemetry::global().histogram("pte_cache_miss_us"));
 
+/// A published plan: its canonical JSON payload, plus the binary codec's
+/// packing of it, made on first use.
+#[derive(Debug)]
+pub struct CachedPlan {
+    json: Box<str>,
+    packed: OnceLock<Box<[u8]>>,
+}
+
+impl CachedPlan {
+    fn new(json: impl Into<Box<str>>) -> Arc<Self> {
+        Arc::new(CachedPlan { json: json.into(), packed: OnceLock::new() })
+    }
+
+    /// The canonical JSON payload bytes.
+    pub fn json(&self) -> &str {
+        &self.json
+    }
+
+    /// The payload packed for the binary codec:
+    /// `codec_bin::encode_payload(&PlanPayload::parse(self.json()))`, run on
+    /// the first call and kept for every later one.
+    ///
+    /// # Errors
+    /// The payload does not parse or pack; nothing is kept, so a later call
+    /// tries again.
+    pub fn packed(&self) -> CodecResult<&[u8]> {
+        if let Some(packed) = self.packed.get() {
+            return Ok(packed);
+        }
+        let packed = codec_bin::encode_payload(&PlanPayload::parse(&self.json)?)?;
+        // A racing first call packs the same bytes; whichever lands first
+        // is kept.
+        Ok(self.packed.get_or_init(|| packed.into_boxed_slice()))
+    }
+}
+
 /// Result of a cache fetch: the payload plus how it was obtained.
 #[derive(Debug, Clone)]
 pub struct Fetched {
-    /// Canonical payload bytes.
-    pub payload: Arc<str>,
+    /// The published plan.
+    pub payload: Arc<CachedPlan>,
     /// Served from the cache without waiting on anyone.
     pub hit: bool,
     /// Shared the result of another request's in-flight computation.
@@ -147,7 +192,7 @@ struct Flight {
 
 enum FlightState {
     Pending,
-    Done(Arc<str>),
+    Done(Arc<CachedPlan>),
     /// Terminal: the leader panicked or erred. The first waiter to observe
     /// this sets `claimed` and retries (deterministic single-waiter
     /// promotion); every later observer returns [`LeaderFailure`].
@@ -159,7 +204,7 @@ enum FlightState {
 }
 
 enum Slot {
-    Ready(Arc<str>),
+    Ready(Arc<CachedPlan>),
     Pending(Arc<Flight>),
 }
 
@@ -198,6 +243,25 @@ impl ShardState {
             let map = &self.map;
             self.order.retain(|(k, g)| map.get(k).is_some_and(|e| e.stamp == *g));
         }
+    }
+
+    /// Drops the oldest un-touched `Ready` entries (a plan and its packed
+    /// form together) until at most `capacity` remain; returns how many
+    /// left. Pending entries are not evictable, and stale queue pairs are
+    /// skipped.
+    fn evict_to(&mut self, capacity: usize) -> u64 {
+        let mut evicted = 0;
+        while self.ready > capacity {
+            let Some((oldest, stamp)) = self.order.pop_front() else { break };
+            let evict = matches!(&self.map.get(&oldest),
+                Some(Entry { slot: Slot::Ready(_), stamp: s }) if *s == stamp);
+            if evict {
+                self.map.remove(&oldest);
+                self.ready -= 1;
+                evicted += 1;
+            }
+        }
+        evicted
     }
 }
 
@@ -282,7 +346,7 @@ impl PlanCache {
     /// never computes). This is the degraded-mode path: an overloaded
     /// server sheds cold searches but still answers hits through here.
     /// A successful peek re-stamps the entry and counts as a hit.
-    pub fn peek(&self, key: &str, hash: u64) -> Option<Arc<str>> {
+    pub fn peek(&self, key: &str, hash: u64) -> Option<Arc<CachedPlan>> {
         let started = Instant::now();
         let shard = self.shard(hash);
         let mut state = shard.state.lock().expect("plan cache shard");
@@ -358,14 +422,13 @@ impl PlanCache {
                         // flight if the computation panics, the explicit
                         // branch below if it errs.
                         let mut guard = FlightGuard { shard, key, flight, disarmed: false };
-                        let payload: Arc<str> =
-                            match (compute.take().expect("compute consumed once"))() {
-                                Ok(payload) => Arc::from(payload),
-                                Err(error) => {
-                                    guard.fail(error.to_string(), false);
-                                    return Err(error);
-                                }
-                            };
+                        let payload = match (compute.take().expect("compute consumed once"))() {
+                            Ok(payload) => CachedPlan::new(payload),
+                            Err(error) => {
+                                guard.fail(error.to_string(), false);
+                                return Err(error);
+                            }
+                        };
                         guard.disarmed = true;
                         self.publish(shard, &guard.key, Arc::clone(&payload));
                         *guard.flight.state.lock().expect("flight state") =
@@ -417,23 +480,15 @@ impl PlanCache {
     /// Installs a computed payload and evicts beyond capacity (oldest
     /// un-touched Ready entries first; Pending entries are not evictable,
     /// and stale queue pairs are skipped).
-    fn publish(&self, shard: &Shard, key: &Arc<str>, payload: Arc<str>) {
+    fn publish(&self, shard: &Shard, key: &Arc<str>, payload: Arc<CachedPlan>) {
         let mut state = shard.state.lock().expect("plan cache shard");
         if let Some(entry) = state.map.get_mut(key) {
             entry.slot = Slot::Ready(payload);
             state.ready += 1;
             state.touch(key, self.capacity_per_shard);
         }
-        while state.ready > self.capacity_per_shard {
-            let Some((oldest, stamp)) = state.order.pop_front() else { break };
-            let evict = matches!(&state.map.get(&oldest),
-                Some(Entry { slot: Slot::Ready(_), stamp: s }) if *s == stamp);
-            if evict {
-                state.map.remove(&oldest);
-                state.ready -= 1;
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let evicted = state.evict_to(self.capacity_per_shard);
+        shard.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Reads the cache's occupancy and traffic counters.
@@ -470,21 +525,14 @@ impl PlanCache {
             return false;
         }
         let key: Arc<str> = Arc::from(key);
-        state
-            .map
-            .insert(Arc::clone(&key), Entry { slot: Slot::Ready(Arc::from(payload)), stamp: 0 });
+        state.map.insert(
+            Arc::clone(&key),
+            Entry { slot: Slot::Ready(CachedPlan::new(payload)), stamp: 0 },
+        );
         state.ready += 1;
         state.touch(&key, self.capacity_per_shard);
-        while state.ready > self.capacity_per_shard {
-            let Some((oldest, stamp)) = state.order.pop_front() else { break };
-            let evict = matches!(&state.map.get(&oldest),
-                Some(Entry { slot: Slot::Ready(_), stamp: s }) if *s == stamp);
-            if evict {
-                state.map.remove(&oldest);
-                state.ready -= 1;
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let evicted = state.evict_to(self.capacity_per_shard);
+        shard.evictions.fetch_add(evicted, Ordering::Relaxed);
         drop(state);
         shard.seeded.fetch_add(1, Ordering::Relaxed);
         true
@@ -515,7 +563,7 @@ mod tests {
         assert!(!cold.hit);
         let warm = fetch(&cache, "req-a", "SHOULD NOT RUN");
         assert!(warm.hit);
-        assert_eq!(&*cold.payload, &*warm.payload);
+        assert_eq!(cold.payload.json(), warm.payload.json());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.coalesced), (1, 1, 0));
         assert_eq!(stats.entries, 1);
@@ -583,7 +631,7 @@ mod tests {
                 .collect();
             let results: Vec<Fetched> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             for r in &results {
-                assert_eq!(&*r.payload, "shared");
+                assert_eq!(r.payload.json(), "shared");
             }
             let misses = results.iter().filter(|r| !r.hit && !r.coalesced).count();
             let coalesced = results.iter().filter(|r| r.coalesced).count();
@@ -613,7 +661,7 @@ mod tests {
                             Ok::<_, String>(format!("p{i}"))
                         })
                         .unwrap();
-                    assert_eq!(&*got.payload, &format!("p{i}"));
+                    assert_eq!(got.payload.json(), &format!("p{i}"));
                 });
             }
         });
@@ -639,7 +687,7 @@ mod tests {
         // ...and the next fetch recomputes successfully.
         let got = fetch(&cache, "flaky", "recovered");
         assert!(!got.hit && !got.coalesced);
-        assert_eq!(&*got.payload, "recovered");
+        assert_eq!(got.payload.json(), "recovered");
         assert!(fetch(&cache, "flaky", "!").hit);
         assert_conserved(&cache);
     }
@@ -667,7 +715,7 @@ mod tests {
             });
             assert_eq!(failer.join().unwrap().unwrap_err(), "boom");
             let got = waiter.join().unwrap().unwrap();
-            assert_eq!(&*got.payload, "second try");
+            assert_eq!(got.payload.json(), "second try");
         });
         assert_conserved(&cache);
     }
@@ -735,7 +783,7 @@ mod tests {
         assert_eq!(cache.stats().failures, 1);
         let got = fetch(&cache, "boom", "recovered");
         assert!(!got.hit);
-        assert_eq!(&*got.payload, "recovered");
+        assert_eq!(got.payload.json(), "recovered");
         // Other keys were never affected.
         assert!(!fetch(&cache, "fine", "fine").hit);
         assert_conserved(&cache);
@@ -762,7 +810,7 @@ mod tests {
             });
             assert!(panicker.join().is_err());
             let got = waiter.join().unwrap().unwrap();
-            assert_eq!(&*got.payload, "healed");
+            assert_eq!(got.payload.json(), "healed");
         });
         assert_conserved(&cache);
     }
@@ -774,7 +822,7 @@ mod tests {
         assert!(cache.peek("a", fnv1a64(b"a")).is_none());
         fetch(&cache, "a", "payload-a");
         let peeked = cache.peek("a", fnv1a64(b"a")).expect("ready entry");
-        assert_eq!(&*peeked, "payload-a");
+        assert_eq!(peeked.json(), "payload-a");
         let stats = cache.stats();
         assert_eq!(stats.peek_hits, 1);
         assert_eq!(stats.hits, 1, "a peek hit counts as a hit");
@@ -790,10 +838,10 @@ mod tests {
         assert_eq!((stats.seeded, stats.fetches, stats.entries), (1, 0, 1));
         assert_conserved(&cache);
         // A seeded entry serves peeks and fetch-hits like a published one.
-        assert_eq!(&*cache.peek("a", fnv1a64(b"a")).expect("seeded entry"), "payload-a");
+        assert_eq!(cache.peek("a", fnv1a64(b"a")).expect("seeded entry").json(), "payload-a");
         let warm = fetch(&cache, "a", "SHOULD NOT RUN");
         assert!(warm.hit);
-        assert_eq!(&*warm.payload, "payload-a");
+        assert_eq!(warm.payload.json(), "payload-a");
         assert_conserved(&cache);
         // Seeding respects the capacity bound: the oldest seed evicts.
         assert!(cache.seed("b", fnv1a64(b"b"), "payload-b"));
@@ -823,7 +871,7 @@ mod tests {
             leader.join().unwrap().unwrap();
         });
         // Once published, the peek succeeds.
-        assert_eq!(&*cache.peek("slow", fnv1a64(b"slow")).unwrap(), "eventually");
+        assert_eq!(cache.peek("slow", fnv1a64(b"slow")).unwrap().json(), "eventually");
         assert_conserved(&cache);
     }
 

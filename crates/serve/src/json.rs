@@ -187,7 +187,7 @@ impl Json {
     /// # Errors
     /// Returns the first syntax error with its byte offset.
     pub fn parse(text: &str) -> JsonResult<Json> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -223,6 +223,7 @@ fn write_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -376,13 +377,15 @@ impl<'a> Parser<'a> {
                     return Err(JsonError::at(start, "raw control character in string"));
                 }
                 Some(_) => {
-                    // Advance one full UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes at once. It ends at
+                    // the next `"`, `\` or control byte — all ASCII, so the
+                    // run ends on a char boundary of the `&str` input.
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |len| start + len);
+                    out.push_str(&self.text[start..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -518,6 +521,72 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should be rejected");
         }
+    }
+
+    #[test]
+    fn multibyte_runs_parse_verbatim() {
+        for s in ["ünïcödé", "日本語のテキスト", "crab 🦀🦀 crab", "a ü 日 🦀 z", "🦀", "ß"]
+        {
+            let text = format!("{{\"k{s}\":[\"{s}\",\"x{s}\",\"{s}y\"]}}");
+            let parsed = Json::parse(&text).unwrap();
+            assert_eq!(
+                parsed.get(&format!("k{s}")).unwrap().as_arr().unwrap()[0].as_str(),
+                Some(s)
+            );
+            assert_eq!(parsed.write().unwrap(), text);
+        }
+    }
+
+    #[test]
+    fn escapes_directly_before_and_after_multibyte_chars() {
+        for (text, want) in [
+            (r#""ü\n""#, "ü\n"),
+            (r#""\nü""#, "\nü"),
+            (r#""日\"本""#, "日\"本"),
+            (r#""🦀\\🦀""#, "🦀\\🦀"),
+            (r#""\u00fc\u00fcü""#, "üüü"),
+            (r#""é\u0041é""#, "éAé"),
+            (r#""\t🦀\t""#, "\t🦀\t"),
+            (r#""\/ß\/""#, "/ß/"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), Json::Str(want.into()), "{text}");
+            let written = Json::Str(want.into()).write().unwrap();
+            assert_eq!(Json::parse(&written).unwrap(), Json::Str(want.into()));
+        }
+    }
+
+    #[test]
+    fn string_error_offsets_are_pinned() {
+        for (text, message) in [
+            ("\"a\u{1}b\"", "byte 2: raw control character in string"),
+            ("\"\u{0}\"", "byte 1: raw control character in string"),
+            ("\"ü\nx\"", "byte 3: raw control character in string"),
+            ("{\"k\":\"🦀\t\"}", "byte 10: raw control character in string"),
+            ("[\"ok\",\"日\u{1f}\"]", "byte 10: raw control character in string"),
+            ("\"ü\\q\"", "byte 3: invalid escape"),
+            ("\"ü\\u12\"", "byte 3: truncated \\u escape"),
+            ("\"ü\\u12g4\"", "byte 3: bad \\u escape"),
+            ("\"abc", "byte 4: unterminated string"),
+            ("\"日", "byte 4: unterminated string"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err().message, message, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 256 KiB in one string. Decoding a string used to re-validate the
+        // rest of the document once per character: seconds of work here.
+        let unit = "plan ü 日 🦀 \\n ";
+        let body = unit.repeat((256 * 1024usize).div_ceil(unit.len()));
+        let want = body.replace("\\n", "\n");
+        let text = format!("{{\"payload\":\"{body}\"}}");
+        assert!(text.len() >= 256 * 1024);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let took = started.elapsed();
+        assert_eq!(parsed.get("payload").and_then(Json::as_str), Some(want.as_str()));
+        assert!(took < std::time::Duration::from_secs(1), "256 KiB string took {took:?}");
     }
 
     #[test]

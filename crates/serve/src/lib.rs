@@ -48,13 +48,14 @@ pub mod codec;
 pub mod codec_bin;
 pub mod fault;
 pub mod json;
+mod poll;
 pub mod retry;
 pub mod router;
 pub mod server;
 pub mod store;
 pub mod workload;
 
-pub use cache::{CacheStats, LeaderFailure, PlanCache};
+pub use cache::{CacheStats, CachedPlan, LeaderFailure, PlanCache};
 pub use client::{Client, ClientCodec, ClientError, Conn, SearchReply};
 pub use codec::{
     CodecError, ErrorClass, NetworkSpec, PlanPayload, PlatformId, SearchRequest, Strategy,

@@ -10,8 +10,7 @@
 //!           [--cache-shards 8] [--probe-cache-cap N]
 //!           [--max-pending 32] [--retry-after-ms 200]
 //!           [--default-deadline-ms 0]
-//!           [--idle-timeout-ms 60000] [--poll-interval-ms 1]
-//!           [--store PATH]
+//!           [--idle-timeout-ms 60000] [--store PATH]
 //!           [--metrics-every-ms N] [--metrics-file PATH]
 //! ```
 //!
@@ -24,10 +23,9 @@
 //! `deadline_ms` of its own (0 disables the default).
 //!
 //! `--idle-timeout-ms` closes keep-alive connections with no completed
-//! request for that long (they cost no threads, only a poll read per
-//! sweep); `--poll-interval-ms` sets the event loop's readiness-poll
-//! cadence. Both fall back to the `PTE_SERVE_IDLE_TIMEOUT_MS` /
-//! `PTE_SERVE_POLL_INTERVAL_MS` environment variables when the flag is
+//! request for that long (they cost no threads, only a socket and a slot in
+//! the event loop's `poll(2)` set). It falls back to the
+//! `PTE_SERVE_IDLE_TIMEOUT_MS` environment variable when the flag is
 //! absent, so a fleet can be tuned without editing unit files.
 //!
 //! `--metrics-every-ms` (or `PTE_SERVE_METRICS_EVERY_MS`) appends a
@@ -57,8 +55,7 @@ fn usage() -> ! {
         "usage: pte-serve [--addr HOST:PORT] [--workers N] [--cache-cap N] \
          [--cache-shards N] [--probe-cache-cap N] [--max-pending N] \
          [--retry-after-ms N] [--default-deadline-ms N] [--idle-timeout-ms N] \
-         [--poll-interval-ms N] [--store PATH] [--metrics-every-ms N] \
-         [--metrics-file PATH]"
+         [--store PATH] [--metrics-every-ms N] [--metrics-file PATH]"
     );
     std::process::exit(2);
 }
@@ -73,9 +70,6 @@ fn parse_args() -> Args {
     let mut config = ServerConfig { addr: "127.0.0.1:7464".into(), ..ServerConfig::default() };
     if let Some(ms) = env_ms("PTE_SERVE_IDLE_TIMEOUT_MS") {
         config.idle_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = env_ms("PTE_SERVE_POLL_INTERVAL_MS") {
-        config.poll_interval = Duration::from_millis(ms);
     }
     if let Ok(path) = std::env::var("PTE_SERVE_STORE") {
         if !path.is_empty() {
@@ -117,10 +111,6 @@ fn parse_args() -> Args {
                 let ms: u64 = value().parse().unwrap_or_else(|_| usage());
                 config.idle_timeout = Duration::from_millis(ms);
             }
-            "--poll-interval-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.poll_interval = Duration::from_millis(ms);
-            }
             "--store" => config.store_path = Some(value().into()),
             "--metrics-every-ms" => {
                 let ms: u64 = value().parse().unwrap_or_else(|_| usage());
@@ -148,7 +138,7 @@ fn main() {
     };
     println!(
         "pte-serve listening on {} ({} workers, cache {} entries / {} shards, probe memo cap {}, \
-         max pending {}, idle timeout {}ms, poll {}µs, store {}; warm-started {} plans)",
+         max pending {}, idle timeout {}ms, store {}; warm-started {} plans)",
         handle.addr(),
         args.config.workers,
         args.config.cache_capacity,
@@ -156,9 +146,6 @@ fn main() {
         pte_core::fisher::proxy::probe_cache_capacity(),
         args.config.max_pending_searches,
         args.config.idle_timeout.as_millis(),
-        // The clamped value the event loop actually runs, so the banner,
-        // the stats op, and the loop can never disagree.
-        args.config.effective_poll_interval().as_micros(),
         args.config.store_path.as_deref().map_or("off".into(), |p| p.display().to_string()),
         handle.state().store_loaded(),
     );

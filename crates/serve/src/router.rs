@@ -37,6 +37,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
@@ -45,6 +46,7 @@ use pte_telemetry::{Counter, Gauge, Histogram};
 
 use crate::codec_bin::{self, kind, FRAME_MAGIC};
 use crate::json::{fnv1a64, Json};
+use crate::poll::{PollFd, POLLIN};
 use crate::server::render_stats_prometheus;
 
 // ---------------------------------------------------------------------------
@@ -269,8 +271,8 @@ pub struct RouterConfig {
     /// it. A failure during `Down` (e.g. a failed probe) restarts the
     /// clock.
     pub cooloff: Duration,
-    /// Client-socket poll granularity: how quickly idle handler threads
-    /// notice shutdown.
+    /// How quickly idle handler threads and the accept thread notice
+    /// shutdown (their read and `poll(2)` timeouts).
     pub poll_interval: Duration,
 }
 
@@ -522,6 +524,9 @@ pub fn route(config: &RouterConfig) -> io::Result<Router> {
     let accept_state = Arc::clone(&state);
     let accept_handlers = Arc::clone(&handlers);
     let accept_thread = std::thread::spawn(move || {
+        // Blocks in `poll(2)` on the listener, so a connecting client is
+        // accepted at once; the timeout only bounds how long a stop waits.
+        let mut fds = [PollFd::new(listener.as_raw_fd(), POLLIN)];
         while !accept_state.is_stopping() {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -529,7 +534,11 @@ pub fn route(config: &RouterConfig) -> io::Result<Router> {
                     let thread = std::thread::spawn(move || handle_client(stream, &state, poll));
                     accept_handlers.lock().expect("handler threads").push(thread);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(poll),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if crate::poll::wait(&mut fds, Some(poll)).is_err() {
+                        std::thread::sleep(poll);
+                    }
+                }
                 Err(_) => std::thread::sleep(poll),
             }
         }

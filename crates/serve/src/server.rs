@@ -29,17 +29,25 @@
 //! ## Threading
 //!
 //! One event-loop thread owns the listener and every connection. Sockets
-//! are nonblocking; the loop sweeps them on a configurable poll interval
-//! (readiness polling, the strongest portable primitive std exposes), so an
-//! idle keep-alive connection costs a poll read and zero threads — the
-//! daemon holds thousands of idle connections with the same fixed thread
-//! count it holds one. Complete messages are handed to a fixed worker pool
-//! over a channel; completions flow back over another, which doubles as the
-//! loop's wake-up (a finished search interrupts the poll sleep
-//! immediately). At most one request per connection is in flight at a time
-//! — the loop stops extracting messages from a connection until its reply
-//! is queued — which preserves reply ordering under pipelining without any
-//! reordering machinery.
+//! are nonblocking, and the loop blocks in `poll(2)` ([`crate::poll`]) on
+//! the listener, every connection and the read end of a wake-up socket
+//! pair, so an idle keep-alive connection costs a `pollfd` entry and zero
+//! threads — the daemon holds thousands of idle connections with the same
+//! fixed thread count it holds one, and an idle daemon does not wake at
+//! all. A connection is polled for reading while it has no request in
+//! flight and for writing while it has undelivered bytes; a busy
+//! connection with nothing to send is left out, since its hang-up would
+//! otherwise report ready on every call. The poll timeout is the nearest
+//! idle-connection deadline, or none.
+//!
+//! Complete messages are handed to a fixed worker pool over a channel;
+//! completions flow back over another. After each completion a worker
+//! writes one byte to the wake-up pair (as do [`ServerHandle::shutdown`]
+//! and its `Drop`), so a finished search ends the poll at once. At most one
+//! request per connection is in flight at a time — the loop stops
+//! extracting messages from a connection until its reply is queued — which
+//! preserves reply ordering under pipelining without any reordering
+//! machinery.
 //!
 //! ## Failure containment (unchanged contract)
 //!
@@ -70,20 +78,23 @@
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 use pte_core::search::CancelToken;
 use pte_telemetry::{Counter, Gauge, Histogram, Trace};
 
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::codec::{self, ErrorClass, SearchRequest};
 use crate::codec_bin::{self, kind};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::json::{fnv1a64, Json};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::store::PlanStore;
 
 // ---------------------------------------------------------------------------
@@ -184,15 +195,10 @@ pub struct ServerConfig {
     /// Plan-cache shard count.
     pub cache_shards: usize,
     /// Connections idle (no completed request) for longer than this are
-    /// closed. Idle connections cost no threads, but each costs a poll
-    /// read per sweep; the timeout bounds how long a silent client keeps
-    /// paying that. Connections with a request in flight are exempt.
+    /// closed. Idle connections cost no threads, but each holds a socket
+    /// and a slot in the poll set; the timeout bounds how long a silent
+    /// client keeps them. Connections with a request in flight are exempt.
     pub idle_timeout: Duration,
-    /// The event loop's readiness-poll interval: how long it sleeps when no
-    /// socket had data and no completion arrived. Completions interrupt
-    /// the sleep, so warm-hit latency does not ride on this — only the
-    /// first read of newly-arrived request bytes does.
-    pub poll_interval: Duration,
     /// Maximum non-hit search requests in flight before new ones are shed
     /// with an `overloaded` reply. Cache hits are exempt.
     pub max_pending_searches: usize,
@@ -217,17 +223,6 @@ pub struct ServerConfig {
     pub metrics_path: Option<PathBuf>,
 }
 
-impl ServerConfig {
-    /// The poll interval the event loop actually runs: the configured value
-    /// clamped to a 100µs floor (a zero interval would spin a core). This is
-    /// the single clamp site — `serve` wires this value into the loop *and*
-    /// the stats snapshot, so `--poll-interval-ms 0` can never report `0`
-    /// while polling at 100µs.
-    pub fn effective_poll_interval(&self) -> Duration {
-        self.poll_interval.max(Duration::from_micros(100))
-    }
-}
-
 impl fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServerConfig")
@@ -236,7 +231,6 @@ impl fmt::Debug for ServerConfig {
             .field("cache_capacity", &self.cache_capacity)
             .field("cache_shards", &self.cache_shards)
             .field("idle_timeout", &self.idle_timeout)
-            .field("poll_interval", &self.effective_poll_interval())
             .field("max_pending_searches", &self.max_pending_searches)
             .field("retry_after_ms", &self.retry_after_ms)
             .field("default_deadline_ms", &self.default_deadline_ms)
@@ -256,7 +250,6 @@ impl Default for ServerConfig {
             cache_capacity: 256,
             cache_shards: 8,
             idle_timeout: Duration::from_secs(60),
-            poll_interval: Duration::from_millis(1),
             max_pending_searches: 32,
             retry_after_ms: 200,
             default_deadline_ms: 0,
@@ -297,11 +290,6 @@ pub struct ServerState {
     retry_after_ms: u64,
     default_deadline_ms: u64,
     idle_timeout_ms: u64,
-    poll_interval_ms: u64,
-    /// Exact effective poll interval in microseconds: sub-millisecond
-    /// intervals (including the clamped floor) truncate to `0` in the
-    /// `_ms` field, so stats also expose the lossless value.
-    poll_interval_us: u64,
     /// The append-only plan log (None = persistence disabled).
     store: Option<Arc<PlanStore>>,
     /// Records appended to the plan log this process.
@@ -403,6 +391,7 @@ impl Drop for InflightSlot<'_> {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
+    waker: Arc<UnixStream>,
     event_loop: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -418,9 +407,10 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Signals shutdown; the event loop notices within one poll interval.
+    /// Signals shutdown and wakes the event loop to act on it.
     pub fn shutdown(&self) {
         self.state.stop.store(true, Ordering::SeqCst);
+        wake(&self.waker);
     }
 
     /// Signals shutdown and joins every thread (graceful: in-flight
@@ -439,8 +429,16 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
+        self.shutdown();
     }
+}
+
+/// Wakes the event loop out of `poll(2)` by writing one byte to the write
+/// end of its wake-up pair. Errors are ignored: `WouldBlock` means the pair
+/// is full, so a wake is already pending, and anything else means the loop
+/// has exited and closed the read end.
+fn wake(waker: &UnixStream) {
+    let _ = (&*waker).write(&[1]);
 }
 
 /// Maximum accepted JSON request-line length. Custom networks are a few
@@ -485,9 +483,10 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    // Clamp the poll interval exactly once, up front: the event loop, the
-    // stats snapshot, and debug output all see this value.
-    let poll_interval = config.effective_poll_interval();
+    let (wake_rx, waker) = UnixStream::pair()?;
+    wake_rx.set_nonblocking(true)?;
+    waker.set_nonblocking(true)?;
+    let waker = Arc::new(waker);
     let state = Arc::new(ServerState {
         cache,
         requests: AtomicU64::new(0),
@@ -506,8 +505,6 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         retry_after_ms: config.retry_after_ms,
         default_deadline_ms: config.default_deadline_ms,
         idle_timeout_ms: saturating_millis(config.idle_timeout),
-        poll_interval_ms: saturating_millis(poll_interval),
-        poll_interval_us: saturating_micros(poll_interval),
         store,
         store_appends: AtomicU64::new(0),
         store_loaded,
@@ -526,8 +523,9 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         .map(|_| {
             let job_rx = Arc::clone(&job_rx);
             let completion_tx = completion_tx.clone();
+            let waker = Arc::clone(&waker);
             let state = Arc::clone(&state);
-            std::thread::spawn(move || worker_loop(&job_rx, &completion_tx, &state))
+            std::thread::spawn(move || worker_loop(&job_rx, &completion_tx, &waker, &state))
         })
         .collect();
     drop(completion_tx); // the loop's rx disconnects when the last worker exits
@@ -545,6 +543,7 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         std::thread::spawn(move || {
             EventLoop {
                 listener,
+                wake_rx,
                 state,
                 conns: Vec::new(),
                 free: Vec::new(),
@@ -554,13 +553,14 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
                 job_tx,
                 completion_rx,
                 idle_timeout,
-                poll_interval,
+                fds: Vec::new(),
+                fd_slots: Vec::new(),
             }
             .run();
         })
     };
 
-    Ok(ServerHandle { addr, state, event_loop: Some(event_loop), workers })
+    Ok(ServerHandle { addr, state, waker, event_loop: Some(event_loop), workers })
 }
 
 // ---------------------------------------------------------------------------
@@ -619,6 +619,9 @@ struct Connection {
     /// A request is in flight; no further messages are extracted (and no
     /// reads are issued) until its reply is queued.
     busy: bool,
+    /// The last poll reported the socket ready (or it was just accepted):
+    /// the next pass reads it. Cleared once a read drains it.
+    readable: bool,
     epoch: u64,
     /// Idle clock: reset when a reply is queued, like the old per-worker
     /// `last_request` — trickling partial bytes does not reset it.
@@ -627,8 +630,29 @@ struct Connection {
     close_after_flush: bool,
 }
 
+impl Connection {
+    /// The events to poll this connection for; `0` leaves it out of the
+    /// poll set. Reads are wanted only while messages may still be
+    /// extracted, writes only while bytes are queued. A busy connection
+    /// with nothing to send is not polled at all: its hang-up would report
+    /// `POLLHUP` on every call and spin the loop until its reply lands.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if !self.busy && !self.close_after_flush {
+            events |= POLLIN;
+        }
+        if !self.out.is_empty() {
+            events |= POLLOUT;
+        }
+        events
+    }
+}
+
 struct EventLoop {
     listener: TcpListener,
+    /// Read end of the wake-up pair; workers and the handle write to the
+    /// other end.
+    wake_rx: UnixStream,
     state: Arc<ServerState>,
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
@@ -640,7 +664,11 @@ struct EventLoop {
     job_tx: Sender<Job>,
     completion_rx: Receiver<Completion>,
     idle_timeout: Duration,
-    poll_interval: Duration,
+    /// The poll set, rebuilt before every wait: the wake-up pair, then the
+    /// listener (unless stopping), then one entry per polled connection.
+    fds: Vec<PollFd>,
+    /// The connection slot behind each connection entry of `fds`.
+    fd_slots: Vec<usize>,
 }
 
 impl EventLoop {
@@ -651,17 +679,16 @@ impl EventLoop {
             // recording is a handful of atomic ops, never a lock.
             EL_POLLS.inc();
             let stopping = self.state.stop.load(Ordering::SeqCst);
-            let mut activity = false;
 
             while let Ok(completion) = self.completion_rx.try_recv() {
-                activity |= self.apply_completion(completion, stopping);
+                self.apply_completion(completion, stopping);
             }
             if !stopping {
-                activity |= self.accept_new();
+                self.accept_new();
             }
             for index in 0..self.conns.len() {
                 let Some(mut conn) = self.conns[index].take() else { continue };
-                if self.sweep_conn(index, &mut conn, stopping, &mut scratch, &mut activity) {
+                if self.sweep_conn(index, &mut conn, stopping, &mut scratch) {
                     self.conns[index] = Some(conn);
                 } else {
                     if conn.busy {
@@ -677,24 +704,58 @@ impl EventLoop {
             if stopping && self.live == 0 {
                 return; // drops the listener (refusing new connects) and job_tx
             }
-            if !activity {
-                // The completion channel doubles as the wake-up: a finished
-                // search interrupts the sleep instead of waiting out the
-                // poll interval.
-                match self.completion_rx.recv_timeout(self.poll_interval) {
-                    Ok(completion) => {
-                        EL_WAKEUPS.inc();
-                        let stopping = self.state.stop.load(Ordering::SeqCst);
-                        self.apply_completion(completion, stopping);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        // Every worker died (cannot happen short of an
-                        // abort); don't spin.
-                        std::thread::sleep(self.poll_interval);
-                    }
+            // Every pass drains what it touches (reads and accepts run to
+            // `WouldBlock`, writes until the socket pushes back), and the
+            // poll is level-triggered, so blocking here never strands work.
+            self.wait(stopping);
+        }
+    }
+
+    /// Blocks in `poll(2)` until a socket is ready, a worker or the handle
+    /// writes to the wake-up pair, or the nearest idle deadline passes, then
+    /// marks the ready connections for the next pass and drains the pair.
+    fn wait(&mut self, stopping: bool) {
+        self.fds.clear();
+        self.fd_slots.clear();
+        self.fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+        if !stopping {
+            self.fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+        }
+        let first_conn = self.fds.len();
+        let mut timeout: Option<Duration> = None;
+        for (index, conn) in self.conns.iter().enumerate() {
+            let Some(conn) = conn else { continue };
+            let events = conn.interest();
+            if events == 0 {
+                continue;
+            }
+            self.fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            self.fd_slots.push(index);
+            if !conn.busy && conn.out.is_empty() {
+                let left = self.idle_timeout.saturating_sub(conn.last_reply.elapsed());
+                timeout = Some(timeout.map_or(left, |t| t.min(left)));
+            }
+        }
+        if poll::wait(&mut self.fds, timeout).is_err() {
+            // `poll` itself failed (EINVAL/ENOMEM): back off instead of
+            // spinning, and let the next pass sweep every connection.
+            std::thread::sleep(Duration::from_millis(1));
+            self.conns.iter_mut().flatten().for_each(|conn| conn.readable = true);
+            return;
+        }
+        for (fd, &slot) in self.fds[first_conn..].iter().zip(&self.fd_slots) {
+            // Anything but bare writability (data, EOF, an error) is news
+            // only a read can deliver.
+            if fd.revents & !POLLOUT != 0 {
+                if let Some(Some(conn)) = self.conns.get_mut(slot) {
+                    conn.readable = true;
                 }
             }
+        }
+        if self.fds[0].revents != 0 {
+            EL_WAKEUPS.inc();
+            let mut drain = [0u8; 64];
+            while matches!((&self.wake_rx).read(&mut drain), Ok(n) if n > 0) {}
         }
     }
 
@@ -705,8 +766,7 @@ impl EventLoop {
         self.state.connections.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn accept_new(&mut self) -> bool {
-        let mut accepted = false;
+    fn accept_new(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -722,6 +782,9 @@ impl EventLoop {
                         out: Vec::new(),
                         codec: None,
                         busy: false,
+                        // A client usually writes right after connecting:
+                        // try the first read without waiting for a poll.
+                        readable: true,
                         epoch,
                         last_reply: Instant::now(),
                         close_after_flush: false,
@@ -733,24 +796,22 @@ impl EventLoop {
                     self.conns[slot] = Some(conn);
                     self.live += 1;
                     self.state.connections.fetch_add(1, Ordering::Relaxed);
-                    accepted = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        accepted
     }
 
     /// Routes one finished job to its connection. Stale completions (the
     /// connection closed; the slot is empty or reused) are discarded — the
     /// worker's side effects (cache publish, counters) already happened and
     /// remain valid.
-    fn apply_completion(&mut self, completion: Completion, stopping: bool) -> bool {
+    fn apply_completion(&mut self, completion: Completion, stopping: bool) {
         let current = match self.conns.get_mut(completion.slot) {
             Some(Some(conn)) if conn.epoch == completion.epoch => conn,
-            _ => return false,
+            _ => return,
         };
         match completion.outcome {
             Outcome::Reply(bytes) => {
@@ -769,34 +830,32 @@ impl EventLoop {
                 self.release_slot(completion.slot);
             }
         }
-        true
     }
 
-    /// One readiness pass over a connection: flush, read, extract,
-    /// dispatch, then apply idle/drain policy. Returns false to close.
+    /// One pass over a connection: flush, read if ready, extract, dispatch,
+    /// then apply idle/drain policy. Returns false to close.
     fn sweep_conn(
         &mut self,
         index: usize,
         conn: &mut Connection,
         stopping: bool,
         scratch: &mut [u8],
-        activity: &mut bool,
     ) -> bool {
-        if !flush_out(conn, activity) {
+        if !flush_out(conn) {
             return false;
         }
         if conn.close_after_flush {
             return !conn.out.is_empty(); // keep only while undelivered bytes remain
         }
         if !conn.busy {
-            match self.pump(index, conn, scratch, activity) {
+            match self.pump(index, conn, scratch) {
                 Pump::Keep => {}
                 Pump::Close => return false,
             }
             // An error queued during extraction may have requested a close;
             // push the bytes out before the next sweep's close check.
             if conn.close_after_flush {
-                if !flush_out(conn, activity) {
+                if !flush_out(conn) {
                     return false;
                 }
                 return !conn.out.is_empty();
@@ -815,16 +874,11 @@ impl EventLoop {
         true
     }
 
-    /// Reads whatever the socket has, then extracts and dispatches at most
-    /// one message (one in flight per connection).
-    fn pump(
-        &mut self,
-        index: usize,
-        conn: &mut Connection,
-        scratch: &mut [u8],
-        activity: &mut bool,
-    ) -> Pump {
-        loop {
+    /// Reads whatever the socket has (if the last poll said it has any),
+    /// then extracts and dispatches at most one message (one in flight per
+    /// connection).
+    fn pump(&mut self, index: usize, conn: &mut Connection, scratch: &mut [u8]) -> Pump {
+        while conn.readable {
             match conn.stream.read(scratch) {
                 Ok(0) => {
                     // Client closed; any partial message is dropped.
@@ -832,12 +886,11 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.buf.extend_from_slice(&scratch[..n]);
-                    *activity = true;
                     if n < scratch.len() {
-                        break;
+                        conn.readable = false;
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => conn.readable = false,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return Pump::Close,
             }
@@ -914,13 +967,12 @@ enum Pump {
 
 /// Nonblocking write of a connection's queued output. Returns false on a
 /// dead socket.
-fn flush_out(conn: &mut Connection, activity: &mut bool) -> bool {
+fn flush_out(conn: &mut Connection) -> bool {
     while !conn.out.is_empty() {
         match conn.stream.write(&conn.out) {
             Ok(0) => return false,
             Ok(n) => {
                 conn.out.drain(..n);
-                *activity = true;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -937,6 +989,7 @@ fn flush_out(conn: &mut Connection, activity: &mut bool) -> bool {
 fn worker_loop(
     jobs: &Arc<Mutex<Receiver<Job>>>,
     completions: &Sender<Completion>,
+    waker: &UnixStream,
     state: &Arc<ServerState>,
 ) {
     loop {
@@ -949,6 +1002,7 @@ fn worker_loop(
         if completions.send(Completion { slot: job.slot, epoch: job.epoch, outcome }).is_err() {
             return;
         }
+        wake(waker);
     }
 }
 
@@ -1190,7 +1244,7 @@ struct ServedSearch {
     key: u64,
     hit: bool,
     coalesced: bool,
-    payload: std::sync::Arc<str>,
+    payload: Arc<CachedPlan>,
     /// Rendered span-tree JSON, present only when the request asked for a
     /// trace. Never part of the payload: the payload bytes of a traced
     /// reply are bit-identical to the untraced ones.
@@ -1307,7 +1361,7 @@ fn run_search_core(
     // peek path above, so a restart does not re-append its own seeds.
     if !fetched.hit && !fetched.coalesced {
         if let Some(store) = &state.store {
-            if store.append(canonical, &fetched.payload).is_ok() {
+            if store.append(canonical, fetched.payload.json()).is_ok() {
                 state.store_appends.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1393,7 +1447,7 @@ fn handle_search(
             served.hit,
             served.coalesced,
             start,
-            &served.payload,
+            served.payload.json(),
             served.trace_json.as_deref(),
         ),
     }
@@ -1403,7 +1457,8 @@ fn handle_search(
 /// the reply frame. The reply's payload is the cached canonical bytes
 /// re-expressed in the binary codec — an exact round trip (raw f64 bits,
 /// canonical-form step tokens), so a binary client's re-encoded canonical
-/// bytes are bit-identical to what a JSON client receives.
+/// bytes are bit-identical to what a JSON client receives. The packing is
+/// done once per cache entry ([`CachedPlan::packed`]) and copied after.
 fn handle_search_frame(body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
     let start = Instant::now();
     let (request, deadline_ms, trace) = match codec_bin::decode_search_request(body) {
@@ -1414,25 +1469,21 @@ fn handle_search_frame(body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
         Ok(SearchVerdict::Shed) => {
             error_frame(state, "overloaded", true, Some(state.retry_after_ms))
         }
-        Ok(SearchVerdict::Served(served)) => {
-            let packed = codec::PlanPayload::parse(&served.payload)
-                .and_then(|payload| codec_bin::encode_payload(&payload));
-            match packed {
-                Ok(payload_body) => {
-                    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                    let reply = codec_bin::encode_search_reply(
-                        served.key,
-                        served.hit,
-                        served.coalesced,
-                        elapsed_ms,
-                        &payload_body,
-                        served.trace_json.as_deref(),
-                    );
-                    codec_bin::frame_bytes(kind::REPLY_SEARCH, &reply)
-                }
-                Err(e) => error_frame(state, &e.to_string(), false, None),
+        Ok(SearchVerdict::Served(served)) => match served.payload.packed() {
+            Ok(payload_body) => {
+                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+                let reply = codec_bin::encode_search_reply(
+                    served.key,
+                    served.hit,
+                    served.coalesced,
+                    elapsed_ms,
+                    payload_body,
+                    served.trace_json.as_deref(),
+                );
+                codec_bin::frame_bytes(kind::REPLY_SEARCH, &reply)
             }
-        }
+            Err(e) => error_frame(state, &e.to_string(), false, None),
+        },
         Err(e) => {
             let (message, retryable) = failure_parts(state, &e);
             error_frame(state, &message, retryable, None)
@@ -1459,11 +1510,6 @@ fn handle_search_frame(body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
 /// to `u64::MAX` instead.
 fn saturating_millis(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
-/// Saturating `Duration` → whole microseconds (same rationale).
-fn saturating_micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// A `u64` counter as a JSON integer, saturating at `i64::MAX` instead of
@@ -1495,8 +1541,6 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
         ("codec_json", json_count(state.codec_json.load(Ordering::Relaxed))),
         ("codec_binary", json_count(state.codec_binary.load(Ordering::Relaxed))),
         ("idle_timeout_ms", json_count(state.idle_timeout_ms)),
-        ("poll_interval_ms", json_count(state.poll_interval_ms)),
-        ("poll_interval_us", json_count(state.poll_interval_us)),
         ("uptime_ms", Json::Float(state.started.elapsed().as_secs_f64() * 1e3)),
         (
             "store",
@@ -1659,23 +1703,13 @@ mod tests {
     fn saturating_conversions_pin_the_boundary() {
         // In range: exact.
         assert_eq!(saturating_millis(Duration::from_millis(1500)), 1500);
-        assert_eq!(saturating_micros(Duration::from_micros(100)), 100);
         assert_eq!(json_count(7), Json::Int(7));
 
         // Out of range: saturate, never wrap.
         assert_eq!(saturating_millis(Duration::MAX), u64::MAX);
-        assert_eq!(saturating_micros(Duration::MAX), u64::MAX);
         assert_eq!(json_count(u64::MAX), Json::Int(i64::MAX));
         assert_eq!(json_count(i64::MAX as u64 + 1), Json::Int(i64::MAX));
         // The largest value that still converts exactly.
         assert_eq!(json_count(i64::MAX as u64), Json::Int(i64::MAX));
-    }
-
-    #[test]
-    fn effective_poll_interval_clamps_zero_but_not_real_values() {
-        let mut config = ServerConfig { poll_interval: Duration::ZERO, ..ServerConfig::default() };
-        assert_eq!(config.effective_poll_interval(), Duration::from_micros(100));
-        config.poll_interval = Duration::from_millis(5);
-        assert_eq!(config.effective_poll_interval(), Duration::from_millis(5));
     }
 }

@@ -9,6 +9,7 @@ use pte_core::machine::Platform;
 use pte_core::search::unified;
 use pte_serve::client::Client;
 use pte_serve::codec::{self, NetworkSpec, PlanPayload, PlatformId, SearchRequest};
+use pte_serve::codec_bin;
 use pte_serve::server::{serve, ServerConfig};
 
 fn tiny_network() -> NetworkSpec {
@@ -308,36 +309,6 @@ fn metrics_op_serves_prometheus_text_over_both_codecs() {
         Some(true),
         "stats op must expose the cache conservation law"
     );
-    handle.join();
-}
-
-#[test]
-fn stats_report_the_clamped_poll_interval() {
-    // Regression: `--poll-interval-ms 0` used to report `poll_interval_ms: 0`
-    // while the event loop actually polled at the clamped 100µs floor. The
-    // clamp now happens once up front, and stats expose the effective value
-    // (lossless in `poll_interval_us`, since sub-ms floors truncate to 0 ms).
-    let handle = serve(&ServerConfig {
-        poll_interval: std::time::Duration::ZERO,
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("poll_interval_us").and_then(|v| v.as_u64()), Some(100));
-    assert_eq!(stats.get("poll_interval_ms").and_then(|v| v.as_u64()), Some(0));
-    handle.join();
-
-    // A real (above-floor) interval passes through unchanged.
-    let handle = serve(&ServerConfig {
-        poll_interval: std::time::Duration::from_millis(2),
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.get("poll_interval_us").and_then(|v| v.as_u64()), Some(2000));
-    assert_eq!(stats.get("poll_interval_ms").and_then(|v| v.as_u64()), Some(2));
     handle.join();
 }
 
@@ -659,4 +630,115 @@ fn warm_restart_replays_the_plan_log() {
     json_client.shutdown().expect("shutdown ack");
     second.join();
     let _ = std::fs::remove_file(&store);
+}
+
+/// One raw binary search over `stream`: the reply frame's body, decoded
+/// and verbatim.
+fn raw_binary_search(
+    stream: &mut std::net::TcpStream,
+    request: &SearchRequest,
+) -> (codec_bin::BinSearchReply, Vec<u8>) {
+    let body = codec_bin::encode_search_request(request, None, false);
+    codec_bin::write_frame(stream, codec_bin::kind::SEARCH, &body).expect("send search frame");
+    let (kind, reply) = codec_bin::read_frame(stream).expect("read reply frame");
+    assert_eq!(kind, codec_bin::kind::REPLY_SEARCH, "expected a search reply frame");
+    (codec_bin::decode_search_reply(&reply).expect("decode search reply"), reply)
+}
+
+/// Asserts a binary reply carries exactly `encode_payload(parse(json))` by
+/// rebuilding the whole reply body around those bytes.
+fn assert_packs(reply: &(codec_bin::BinSearchReply, Vec<u8>), json: &str, context: &str) {
+    let packed = codec_bin::encode_payload(&PlanPayload::parse(json).expect("parse json payload"))
+        .expect("pack payload");
+    let (decoded, body) = reply;
+    let rebuilt = codec_bin::encode_search_reply(
+        decoded.key,
+        decoded.hit,
+        decoded.coalesced,
+        decoded.elapsed_ms,
+        &packed,
+        None,
+    );
+    assert!(*body == rebuilt, "{context}: binary payload differs from the packed cached JSON");
+}
+
+#[test]
+fn binary_hits_serve_the_packed_cached_json() {
+    let store = std::env::temp_dir().join(format!(
+        "pte-e2e-packed-{}-{:x}.log",
+        std::process::id(),
+        0xB1B1u32
+    ));
+    let _ = std::fs::remove_file(&store);
+    let first = request();
+    let mut second = request();
+    second.seed += 1;
+
+    // One entry of capacity, so a second key evicts the first.
+    let handle = serve(&ServerConfig {
+        workers: 2,
+        cache_capacity: 1,
+        cache_shards: 1,
+        store_path: Some(store.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut json_client = Client::connect(handle.addr()).expect("connect json");
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect binary");
+    let json = json_client.search(&first).expect("cold json search").payload_canonical;
+
+    let hit = raw_binary_search(&mut stream, &first);
+    assert!(hit.0.hit);
+    assert_packs(&hit, &json, "first binary hit");
+    let repeat = raw_binary_search(&mut stream, &first);
+    assert!(repeat.0.hit);
+    assert_packs(&repeat, &json, "repeat binary hit");
+
+    json_client.search(&second).expect("evicting search");
+    assert_eq!(handle.state().cache_stats().evictions, 1, "the second key must evict the first");
+    let republished = raw_binary_search(&mut stream, &first);
+    assert!(!republished.0.hit, "the evicted entry must be recomputed");
+    assert_packs(&republished, &json, "re-published miss");
+    let rehit = raw_binary_search(&mut stream, &first);
+    assert!(rehit.0.hit);
+    assert_packs(&rehit, &json, "hit after re-publishing");
+    json_client.shutdown().expect("shutdown ack");
+    handle.join();
+
+    // A plan-log-seeded entry packs the same bytes on its first binary hit.
+    let restarted = serve(&ServerConfig {
+        workers: 2,
+        store_path: Some(store.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("rebind on the same log");
+    assert!(restarted.state().store_loaded() >= 1);
+    let mut stream = std::net::TcpStream::connect(restarted.addr()).expect("connect binary");
+    let seeded = raw_binary_search(&mut stream, &first);
+    assert!(seeded.0.hit, "the logged plan must be a warm-start hit");
+    assert_packs(&seeded, &json, "plan-log-seeded hit");
+    drop(stream);
+    restarted.join();
+    let _ = std::fs::remove_file(&store);
+}
+
+#[test]
+fn join_with_idle_connections_returns_promptly() {
+    // The event loop sleeps in poll(2) with no timeout while every
+    // connection is idle (the idle deadline is a minute away): only the
+    // wake-up written by shutdown can end that wait.
+    let handle = serve(&ServerConfig::default()).expect("bind ephemeral port");
+    let parked: Vec<Client> = (0..8)
+        .map(|_| {
+            let mut client = Client::connect(handle.addr()).expect("connect");
+            client.ping().expect("ping");
+            client
+        })
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let started = std::time::Instant::now();
+    handle.join();
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "join took {took:?} with idle connections");
+    drop(parked);
 }
