@@ -27,7 +27,8 @@
 //!   paper's 1000-candidate search finishes in minutes. Evaluation waves
 //!   batch their probes by shape class through `proxy::probe_wave`
 //!   (one lowering + multi-image GEMMs per class, bit-identical to
-//!   per-candidate probing).
+//!   per-candidate probing), slicing random streams a
+//!   `proxy::ProbeStreams` scope draws once per layer.
 //! * [`cellnet`] — exact DAG computation for NAS-Bench-201 cells (Figure 3),
 //!   with full forward/backward through the cell graph.
 //!

@@ -11,17 +11,17 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use pte_ir::ConvShape;
 use pte_tensor::data::{Minibatch, SyntheticDataset};
 use pte_tensor::ops::gemm::{gemm_nn_batch, GemmNnTask};
 use pte_tensor::ops::im2col::{col_dims, im2col_batch};
 use pte_tensor::ops::{
-    batch_norm2d, batch_norm2d_backward, batch_norm2d_backward_batch, batch_norm2d_batch, conv2d,
-    cross_entropy, cross_entropy_batch, linear, linear_backward, linear_batch,
-    linear_d_input_batch, relu, relu_backward, relu_backward_in_place, uses_gemm_path, Conv2dSpec,
+    batch_norm2d, batch_norm2d_batch, conv2d, cross_entropy, cross_entropy_batch, linear,
+    linear_backward, linear_batch, linear_d_input_batch, relu, uses_gemm_path, Conv2dSpec,
 };
-use pte_tensor::rng::{derive_seed, fill_normal, seeded};
+use pte_tensor::rng::{derive_seed, NormalStream};
 use pte_tensor::Tensor;
 use rayon::prelude::*;
 
@@ -45,6 +45,7 @@ pub fn init_metrics() {
     std::sync::LazyLock::force(&MEMO_HIT_US);
     std::sync::LazyLock::force(&MEMO_LOOKUP_US);
     std::sync::LazyLock::force(&WAVE_SIZE);
+    std::sync::LazyLock::force(&NORMALS_DRAWN);
 }
 
 use crate::score::{layer_delta, layer_delta_nchw};
@@ -133,18 +134,7 @@ pub(crate) fn probe_spec_for(shape: &ConvShape) -> Conv2dSpec {
 /// Returns 0.0 for degenerate variants whose probe cannot be built (zero
 /// channels); such candidates are always rejected by the legality check.
 pub fn conv_shape_fisher(shape: &ConvShape, seed: u64) -> f64 {
-    let key = (*shape, seed);
-    let lookup_started = std::time::Instant::now();
-    if let Some(hit) = probe_cache().lock().expect("probe cache").lookup(&key) {
-        memo_hit_hist().record_duration_us(lookup_started.elapsed());
-        return hit;
-    }
-    // Computed outside the lock: concurrent searchers may race on the same
-    // shape, but the probe is pure, so whichever insert lands last wrote the
-    // identical value.
-    let score = conv_shape_fisher_unmemoised(shape, seed);
-    probe_cache().lock().expect("probe cache").insert(key, score);
-    score
+    ProbeStreams::default().conv_shape_fisher(shape, seed)
 }
 
 /// Default maximum number of probe scores the process-wide memo retains.
@@ -319,7 +309,7 @@ pub fn probe_cache_stats() -> ProbeCacheStats {
 /// per layer will find one whose *lucky draw* sneaks past the legality
 /// threshold (selection on noise ⇒ systematic over-compression); averaging
 /// shrinks the noise below the legality margin.
-const PROBE_REPEATS: u64 = 3;
+const PROBE_REPEATS: usize = 3;
 
 /// Resolves a shape's probe geometry and derived randomness, or `None` for
 /// degenerate variants that always score 0.0.
@@ -346,62 +336,96 @@ fn probe_setup(shape: &ConvShape, seed: u64) -> Option<(Conv2dSpec, u64)> {
     Some((spec, derive_seed(seed, layer_key)))
 }
 
-/// The memo-free reference probe: exactly what [`conv_shape_fisher`] computes
-/// on a miss. Public so parity tests and benchmarks can time / compare the
-/// per-candidate path without the process-wide memo interfering.
+/// Seed of repeat `r`'s Kaiming weight stream under a layer's probe seed.
+fn weight_stream(seed: u64, r: usize) -> u64 {
+    derive_seed(seed, 2 + r as u64 * 7919)
+}
+
+/// Seed of repeat `r`'s readout-head stream under a layer's probe seed.
+fn readout_stream(seed: u64, r: usize) -> u64 {
+    derive_seed(seed, 3 + r as u64 * 104_729)
+}
+
+/// Length of a probe's Kaiming weight draw.
+fn weight_len(spec: &Conv2dSpec) -> usize {
+    spec.weight_dims().iter().product()
+}
+
+/// The top-left window a spatially bottlenecked variant keeps of its
+/// `oh × ow` conv output.
+fn truncated_hw(shape: &ConvShape, (oh, ow): (usize, usize)) -> (usize, usize) {
+    ((oh as i64 / shape.sb_h).max(1) as usize, (ow as i64 / shape.sb_w).max(1) as usize)
+}
+
+/// Length of a probe's readout-head draw: `classes × features` of its
+/// truncated activation.
+fn readout_len(shape: &ConvShape, spec: &Conv2dSpec) -> usize {
+    let (th, tw) = truncated_hw(shape, spec.output_hw(PROXY_RESOLUTION, PROXY_RESOLUTION));
+    PROXY_CLASSES * spec.c_out * th * tw
+}
+
+/// The memo-free reference probe: what [`conv_shape_fisher`] computes on a
+/// miss, with every random draw made fresh per repeat (no stream scope).
+/// Public so parity tests and benchmarks can time / compare the
+/// per-candidate path without the memo or a scope interfering.
 pub fn conv_shape_fisher_unmemoised(shape: &ConvShape, seed: u64) -> f64 {
     let Some((spec, seed)) = probe_setup(shape, seed) else { return 0.0 };
 
     // Class-structured minibatch whose channel count matches the probe. The
     // batch depends only on `(shape, seed)`, never the repeat index, so it
-    // is built once and shared across repeats (a meaningful share of probe
-    // cost now that the convolution itself runs on the GEMM path).
+    // is built once and shared across repeats.
     let Ok(dataset) = SyntheticDataset::custom(PROXY_CLASSES, spec.c_in, PROXY_RESOLUTION, seed)
     else {
         return 0.0;
     };
     let batch = dataset.minibatch(PROXY_BATCH, derive_seed(seed, 1));
 
-    (0..PROBE_REPEATS).map(|r| probe_once(shape, &spec, &batch, seed, r)).sum::<f64>()
+    (0..PROBE_REPEATS)
+        .map(|r| {
+            let weight = Tensor::kaiming(&spec.weight_dims(), weight_stream(seed, r));
+            let readout = Tensor::randn(&[readout_len(shape, &spec)], readout_stream(seed, r));
+            probe_once(shape, &spec, &batch, &weight, readout.as_slice())
+        })
+        .sum::<f64>()
         / PROBE_REPEATS as f64
 }
 
+/// One repeat of the per-candidate probe: the convolution with `weight`,
+/// then the reference tail with the readout head drawn from `readout`.
 fn probe_once(
     shape: &ConvShape,
     spec: &Conv2dSpec,
     batch: &Minibatch,
-    seed: u64,
-    repeat: u64,
+    weight: &Tensor,
+    readout: &[f32],
 ) -> f64 {
-    let weight = Tensor::kaiming(&spec.weight_dims(), derive_seed(seed, 2 + repeat * 7919));
-    let Ok(conv_out) = conv2d(&batch.images, &weight, spec) else { return 0.0 };
-    probe_tail(shape, spec, batch, seed, repeat, conv_out)
+    let Ok(conv_out) = conv2d(&batch.images, weight, spec) else { return 0.0 };
+    probe_tail(shape, spec, &batch.labels, conv_out, readout)
 }
 
 /// Everything after the probe convolution: spatial truncation, BN, ReLU,
 /// readout, loss, and the backward pass to the activation. This is the
-/// **reference tail**: the per-candidate path ([`probe_once`]) and the
-/// batched scheduler's non-GEMM fallback run it verbatim, and the class-wide
-/// stacked tail ([`tail_wave`]) must reproduce it bit for bit member by
-/// member (each batched op pins that contract in `pte-tensor`).
+/// **reference tail**: the per-candidate path ([`probe_once`]) runs it
+/// verbatim, and the class-wide stacked tail ([`tail_wave`]) must reproduce
+/// it bit for bit member by member (each batched op pins that contract in
+/// `pte-tensor`). `readout` holds at least the `classes × features` normal
+/// samples of the readout head (a longer stream's prefix is the same draw).
 fn probe_tail(
     shape: &ConvShape,
     spec: &Conv2dSpec,
-    batch: &Minibatch,
-    seed: u64,
-    repeat: u64,
+    labels: &[usize],
     conv_out: Tensor,
+    readout: &[f32],
 ) -> f64 {
     // Spatial bottleneck: keep only the computed output slice.
     let dims = conv_out.shape().dims().to_vec();
-    let oh = (dims[2] as i64 / shape.sb_h).max(1) as usize;
-    let ow = (dims[3] as i64 / shape.sb_w).max(1) as usize;
+    let (oh, ow) = truncated_hw(shape, (dims[2], dims[3]));
     let conv_out =
         if (oh, ow) != (dims[2], dims[3]) { truncate_spatial(&conv_out, oh, ow) } else { conv_out };
 
     let gamma = vec![1.0f32; spec.c_out];
     let beta = vec![0.0f32; spec.c_out];
-    let Ok((bn_out, bn_cache)) = batch_norm2d(&conv_out, &gamma, &beta) else { return 0.0 };
+    let Ok((bn_out, _)) = batch_norm2d(&conv_out, &gamma, &beta) else { return 0.0 };
     let act = relu(&bn_out);
 
     // Readout over the *flattened* activation with a fixed-scale (not
@@ -419,11 +443,12 @@ fn probe_tail(
     let adims = act.shape().dims().to_vec();
     let features = adims[1] * adims[2] * adims[3];
     let Ok(flat) = act.reshape(&[adims[0], features]) else { return 0.0 };
-    let w_fc = Tensor::randn(&[PROXY_CLASSES, features], derive_seed(seed, 3 + repeat * 104_729))
-        .scale(READOUT_STD);
+    let Some(head) = readout.get(..PROXY_CLASSES * features) else { return 0.0 };
+    let head = head.iter().map(|v| v * READOUT_STD).collect();
+    let Ok(w_fc) = Tensor::from_vec(&[PROXY_CLASSES, features], head) else { return 0.0 };
     let bias = vec![0.0f32; PROXY_CLASSES];
     let Ok(logits) = linear(&flat, &w_fc, &bias) else { return 0.0 };
-    let Ok((_loss, d_logits)) = cross_entropy(&logits, &batch.labels) else { return 0.0 };
+    let Ok((_loss, d_logits)) = cross_entropy(&logits, labels) else { return 0.0 };
 
     // Backward to the post-ReLU activation.
     let Ok(fc_grads) = linear_backward(&flat, &w_fc, &bias, &d_logits) else { return 0.0 };
@@ -431,13 +456,7 @@ fn probe_tail(
 
     // Fisher uses the activation and its gradient; note A⊙∂L/∂A is identical
     // pre- and post-ReLU, so scoring at the ReLU output matches the paper.
-    let score = layer_delta(&act, &d_act);
-
-    // Exercise the remaining backward path (keeps the probe honest about
-    // gradient flow; a BN that zeroed gradients would zero the score too).
-    let _ = relu_backward(&bn_out, &d_act).and_then(|d| batch_norm2d_backward(&bn_cache, &d));
-
-    score * mixing_factor(shape)
+    layer_delta(&act, &d_act) * mixing_factor(shape)
 }
 
 /// Keeps the top-left `oh × ow` window of every `[n, c]` plane — the spatial
@@ -462,18 +481,6 @@ fn truncate_spatial(t: &Tensor, oh: usize, ow: usize) -> Tensor {
     Tensor::from_vec(&[n, c, oh, ow], data).expect("truncated shape")
 }
 
-/// One pooled Box–Muller stream: `n` standard-normal samples from a fresh
-/// RNG seeded with `stream_seed`. Because `fill_normal` streams are bitwise
-/// prefix-stable (see its docs), any member whose own draw would have been
-/// the first `len ≤ n` samples of this stream can slice the pool instead —
-/// the hoisting that turns per-member RNG work into per-class work.
-fn normal_pool(stream_seed: u64, n: usize) -> Vec<f32> {
-    let mut rng = seeded(stream_seed);
-    let mut out = Vec::new();
-    fill_normal(&mut rng, n, &mut out);
-    out
-}
-
 /// Cross-channel information-mixing factor.
 ///
 /// A single-layer probe cannot observe the one capacity effect that only
@@ -493,75 +500,308 @@ fn mixing_factor(shape: &ConvShape) -> f64 {
 
 /// Scores an evaluation wave of candidate shapes through the probe memo,
 /// computing the misses with the batched shape-class scheduler
-/// ([`probe_wave`]) and feeding their scores back into the memo.
+/// ([`probe_wave`]) and feeding their scores back into the memo. The random
+/// streams are shared across the whole call ([`ProbeStreams`]).
 ///
-/// This is the entry point the shared `Evaluator` uses: per-candidate
-/// [`conv_shape_fisher`] calls issued afterwards for the same shapes are
-/// memo hits, and the values are bit-identical to what the per-candidate
-/// path would have computed (a property the proptest parity suite pins).
+/// Per-candidate [`conv_shape_fisher`] calls issued afterwards for the same
+/// shapes are memo hits, and the values are bit-identical to what the
+/// per-candidate path would have computed (a property the proptest parity
+/// suite pins). The search's `Evaluator` calls the same wave through its
+/// class task's scope ([`ProbeStreams::batch_conv_shape_fisher`]).
 pub fn batch_conv_shape_fisher(shapes: &[ConvShape], seed: u64) -> Vec<f64> {
-    let mut out = vec![0.0f64; shapes.len()];
-    // Dedupe *every* duplicate occurrence before the memo is consulted —
-    // hits and misses alike — so a wave issues exactly one lookup per
-    // distinct shape no matter how concurrent waves interleave (the counter
-    // invariant [`ProbeCacheStats`] documents; deduping only the misses
-    // would make duplicate-of-hit occurrences re-read the memo and the
-    // lookup totals racy). `slots[i]` points a first occurrence at its wave
-    // result, `dup_of[i]` points a duplicate at its first occurrence.
-    let mut pending: Vec<ConvShape> = Vec::new();
-    let mut first_ix: HashMap<ConvShape, usize> = HashMap::new();
-    let mut slots: Vec<Option<usize>> = vec![None; shapes.len()];
-    let mut dup_of: Vec<Option<usize>> = vec![None; shapes.len()];
-    let lookup_started = std::time::Instant::now();
-    {
-        let mut cache = probe_cache().lock().expect("probe cache");
-        for (i, shape) in shapes.iter().enumerate() {
-            if let Some(&first) = first_ix.get(shape) {
-                dup_of[i] = Some(first);
-            } else {
-                first_ix.insert(*shape, i);
-                if let Some(hit) = cache.lookup(&(*shape, seed)) {
-                    out[i] = hit;
+    ProbeStreams::default().batch_conv_shape_fisher(shapes, seed)
+}
+
+/// Scores a wave of shapes with probe convolutions batched by **shape
+/// class**, drawing the random streams once for the whole call (see
+/// [`ProbeStreams::probe_wave`]). Memo-free and pure.
+pub fn probe_wave(shapes: &[ConvShape], seed: u64) -> Vec<f64> {
+    ProbeStreams::default().probe_wave(shapes, seed)
+}
+
+/// Normal samples drawn into probe-stream scopes (every weight and readout
+/// stream a probe slices; the memo-free reference draws outside any scope
+/// and is not counted). Observation-only, like the other probe metrics.
+static NORMALS_DRAWN: std::sync::LazyLock<pte_telemetry::Counter> =
+    std::sync::LazyLock::new(|| pte_telemetry::global().counter("pte_probe_normals_drawn_total"));
+
+/// The random draws every probe of one layer shares, keyed in a
+/// [`ProbeStreams`] by the layer's derived probe seed: per repeat one
+/// Kaiming weight stream and one readout stream — neither derivation
+/// involves the variant, so all of a layer's variants draw from the same six
+/// streams and differ only in length and scale — plus one minibatch per
+/// probe input width.
+struct LayerStreams {
+    weights: [NormalStream; PROBE_REPEATS],
+    readouts: [NormalStream; PROBE_REPEATS],
+    batches: HashMap<usize, Minibatch>,
+}
+
+/// What one wave needs of a layer's streams: the longest weight and readout
+/// prefixes and the input widths of its shape classes.
+#[derive(Default)]
+struct LayerNeed {
+    weight_len: usize,
+    readout_len: usize,
+    c_ins: Vec<usize>,
+}
+
+impl LayerStreams {
+    fn new(seed: u64) -> Self {
+        LayerStreams {
+            weights: std::array::from_fn(|r| NormalStream::new(weight_stream(seed, r))),
+            readouts: std::array::from_fn(|r| NormalStream::new(readout_stream(seed, r))),
+            batches: HashMap::new(),
+        }
+    }
+
+    /// Grows every stream to the wave's longest prefix (continuing its own
+    /// RNG) and builds the missing minibatches; returns the normal samples
+    /// drawn.
+    fn draw(&mut self, seed: u64, need: &LayerNeed) -> usize {
+        let mut drawn = 0;
+        for stream in &mut self.weights {
+            drawn += stream.grow_to(need.weight_len);
+        }
+        for stream in &mut self.readouts {
+            drawn += stream.grow_to(need.readout_len);
+        }
+        for &c_in in &need.c_ins {
+            if self.batches.contains_key(&c_in) {
+                continue;
+            }
+            if let Ok(dataset) =
+                SyntheticDataset::custom(PROXY_CLASSES, c_in, PROXY_RESOLUTION, seed)
+            {
+                self.batches.insert(c_in, dataset.minibatch(PROXY_BATCH, derive_seed(seed, 1)));
+            }
+        }
+        drawn
+    }
+
+    /// Writes repeat `r`'s Kaiming weights for `spec` into `out`: a prefix of
+    /// the repeat's stream scaled by the member's own `√(2/fan_in)` — bit for
+    /// bit the tensor `Tensor::kaiming` draws alone.
+    fn kaiming_into(&self, spec: &Conv2dSpec, r: usize, out: &mut [f32]) {
+        let fan_in: usize = spec.weight_dims().iter().skip(1).product::<usize>().max(1);
+        let std = (2.0 / fan_in as f32).sqrt();
+        for (w, v) in out.iter_mut().zip(self.weights[r].samples()) {
+            *w = v * std;
+        }
+    }
+
+    /// The per-member reference probe ([`probe_once`] per repeat) on this
+    /// layer's draws.
+    fn probe_member(&self, m: &WaveMember, batch: &Minibatch) -> f64 {
+        (0..PROBE_REPEATS)
+            .map(|r| {
+                let mut weight = vec![0.0f32; weight_len(&m.spec)];
+                self.kaiming_into(&m.spec, r, &mut weight);
+                let Ok(weight) = Tensor::from_vec(&m.spec.weight_dims(), weight) else {
+                    return 0.0;
+                };
+                probe_once(&m.shape, &m.spec, batch, &weight, self.readouts[r].samples())
+            })
+            .sum::<f64>()
+            / PROBE_REPEATS as f64
+    }
+}
+
+/// A probe-stream scope: the random streams and minibatches of the layers
+/// its probes touch, each drawn once — at the longest length any probe has
+/// needed so far — and sliced by every later probe of the same layer.
+///
+/// Streams grow by continuing their own RNG, and [`fill_normal`]'s prefix
+/// stability makes every slice bitwise equal to the draw the probe would
+/// have made alone, so a scope never changes a score: it only removes
+/// repeated Box–Muller and minibatch work. Each layer-class task of a search
+/// owns one through its `Evaluator`, dropped when the task returns, and the
+/// free functions ([`conv_shape_fisher`], [`batch_conv_shape_fisher`],
+/// [`probe_wave`]) use one per call. A wave keeps only the layers it
+/// touches, so a scope holds at most one wave's layers — in a class task,
+/// the class's one layer: six streams, under 1 MiB at the probe caps.
+///
+/// [`fill_normal`]: pte_tensor::rng::fill_normal
+#[derive(Default)]
+pub struct ProbeStreams {
+    layers: Mutex<HashMap<u64, LayerStreams>>,
+}
+
+impl std::fmt::Debug for ProbeStreams {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let layers = self.layers.lock().map(|l| l.len()).unwrap_or_default();
+        f.debug_struct("ProbeStreams").field("layers", &layers).finish()
+    }
+}
+
+impl ProbeStreams {
+    /// [`conv_shape_fisher`] through this scope: a memo hit never touches
+    /// it; a miss probes as a one-member [`ProbeStreams::probe_wave`].
+    pub fn conv_shape_fisher(&self, shape: &ConvShape, seed: u64) -> f64 {
+        let key = (*shape, seed);
+        let lookup_started = std::time::Instant::now();
+        if let Some(hit) = probe_cache().lock().expect("probe cache").lookup(&key) {
+            memo_hit_hist().record_duration_us(lookup_started.elapsed());
+            return hit;
+        }
+        // Computed outside the lock: concurrent searchers may race on the
+        // same shape, but the probe is pure, so whichever insert lands last
+        // wrote the identical value.
+        let score = self.probe_wave(std::slice::from_ref(shape), seed)[0];
+        probe_cache().lock().expect("probe cache").insert(key, score);
+        score
+    }
+
+    /// [`batch_conv_shape_fisher`] through this scope.
+    pub fn batch_conv_shape_fisher(&self, shapes: &[ConvShape], seed: u64) -> Vec<f64> {
+        let mut out = vec![0.0f64; shapes.len()];
+        // Dedupe *every* duplicate occurrence before the memo is consulted —
+        // hits and misses alike — so a wave issues exactly one lookup per
+        // distinct shape no matter how concurrent waves interleave (the
+        // counter invariant [`ProbeCacheStats`] documents; deduping only the
+        // misses would make duplicate-of-hit occurrences re-read the memo and
+        // the lookup totals racy). `slots[i]` points a first occurrence at
+        // its wave result, `dup_of[i]` points a duplicate at its first
+        // occurrence.
+        let mut pending: Vec<ConvShape> = Vec::new();
+        let mut first_ix: HashMap<ConvShape, usize> = HashMap::new();
+        let mut slots: Vec<Option<usize>> = vec![None; shapes.len()];
+        let mut dup_of: Vec<Option<usize>> = vec![None; shapes.len()];
+        let lookup_started = std::time::Instant::now();
+        {
+            let mut cache = probe_cache().lock().expect("probe cache");
+            for (i, shape) in shapes.iter().enumerate() {
+                if let Some(&first) = first_ix.get(shape) {
+                    dup_of[i] = Some(first);
                 } else {
-                    slots[i] = Some(pending.len());
-                    pending.push(*shape);
+                    first_ix.insert(*shape, i);
+                    if let Some(hit) = cache.lookup(&(*shape, seed)) {
+                        out[i] = hit;
+                    } else {
+                        slots[i] = Some(pending.len());
+                        pending.push(*shape);
+                    }
                 }
             }
         }
-    }
-    if !shapes.is_empty() {
-        let lookup = lookup_started.elapsed();
-        MEMO_LOOKUP_US.record_duration_us(lookup);
-        if pending.is_empty() {
-            // The whole wave was served from the memo: that transaction's
-            // latency is the "memo hit" figure the metrics page reports.
-            MEMO_HIT_US.record_duration_us(lookup);
+        if !shapes.is_empty() {
+            let lookup = lookup_started.elapsed();
+            MEMO_LOOKUP_US.record_duration_us(lookup);
+            if pending.is_empty() {
+                // The whole wave was served from the memo: that transaction's
+                // latency is the "memo hit" figure the metrics page reports.
+                MEMO_HIT_US.record_duration_us(lookup);
+            }
+            // Wave size = shapes the memo could not serve (0 on full reuse).
+            WAVE_SIZE.record(pending.len() as u64);
         }
-        // Wave size = shapes the memo could not serve (0 on full reuse).
-        WAVE_SIZE.record(pending.len() as u64);
-    }
-    if !pending.is_empty() {
-        let scores = probe_wave(&pending, seed);
-        {
-            let mut cache = probe_cache().lock().expect("probe cache");
-            for (shape, &score) in pending.iter().zip(&scores) {
-                cache.insert((*shape, seed), score);
+        if !pending.is_empty() {
+            let scores = self.probe_wave(&pending, seed);
+            {
+                let mut cache = probe_cache().lock().expect("probe cache");
+                for (shape, &score) in pending.iter().zip(&scores) {
+                    cache.insert((*shape, seed), score);
+                }
+            }
+            for (i, slot) in slots.iter().enumerate() {
+                if let Some(j) = *slot {
+                    out[i] = scores[j];
+                }
             }
         }
-        for (i, slot) in slots.iter().enumerate() {
-            if let Some(j) = *slot {
-                out[i] = scores[j];
+        // First occurrences are final; copy them onto their duplicates (a
+        // duplicate always points backwards).
+        for i in 0..out.len() {
+            if let Some(first) = dup_of[i] {
+                out[i] = out[first];
             }
         }
+        out
     }
-    // First occurrences are final; copy them onto their duplicates (a
-    // duplicate always points backwards).
-    for i in 0..out.len() {
-        if let Some(first) = dup_of[i] {
-            out[i] = out[first];
+
+    /// Scores a wave of shapes with probe convolutions batched by **shape
+    /// class** — shapes whose probes share the derived seed and input
+    /// geometry `(c_in, kernel, stride, padding)`, hence the same synthetic
+    /// minibatch and the same patch matrix. Memo-free and pure;
+    /// [`ProbeStreams::batch_conv_shape_fisher`] is the memo-aware wrapper.
+    ///
+    /// The wave first draws what it needs, then fans the classes out over
+    /// the worker pool: each layer's six streams grow once, to the longest
+    /// prefix any of its members needs, and each `(c_in, layer)` minibatch
+    /// is built once — later waves through the same scope slice them again.
+    ///
+    /// Per class, the minibatch is lowered once ([`im2col_batch`]); every
+    /// member × group convolution of a repeat then runs in one wide
+    /// multi-image GEMM wave against the shared patch matrix
+    /// ([`gemm_nn_batch`]), which amortises the lowering that the
+    /// per-candidate path re-does `PROXY_BATCH × PROBE_REPEATS` times per
+    /// candidate and raises the GEMMs' arithmetic intensity 8×. On the packed
+    /// micro-kernel path the batch executor additionally packs each class's
+    /// shared patch-matrix band once per wave (tasks are grouped by `B`
+    /// operand identity), so every member product of a repeat runs against
+    /// one pre-packed panel.
+    ///
+    /// The probe **tail** is batched too: members stack by post-truncation
+    /// geometry into [`TailClass`]es, and each class × repeat runs one
+    /// `batch_norm2d_batch` pass, one fused ReLU, one wide readout GEMM
+    /// against the repeat's shared head, one `cross_entropy_batch`, and one
+    /// batched readout backward ([`tail_wave`]). Members whose probe
+    /// `conv2d` would not dispatch to the GEMM path (depthwise-style
+    /// grouping, degenerate widths) fall back to the per-candidate kernel on
+    /// the same draws, so every score stays **bit-identical** to
+    /// [`conv_shape_fisher_unmemoised`].
+    pub fn probe_wave(&self, shapes: &[ConvShape], seed: u64) -> Vec<f64> {
+        let mut out = vec![0.0f64; shapes.len()];
+        // Group by shape class, preserving first-occurrence order (scores
+        // are pure, so grouping order only affects scheduling, never values).
+        type ClassKey = (u64, usize, usize, usize, usize);
+        let mut classes: Vec<Vec<WaveMember>> = Vec::new();
+        let mut class_ix: HashMap<ClassKey, usize> = HashMap::new();
+        let mut needs: HashMap<u64, LayerNeed> = HashMap::new();
+        for (idx, shape) in shapes.iter().enumerate() {
+            // Degenerate shapes never reach a probe; their score is 0.0.
+            let Some((spec, derived)) = probe_setup(shape, seed) else { continue };
+            let key = (derived, spec.c_in, spec.kernel, spec.stride, spec.padding);
+            let need = needs.entry(derived).or_default();
+            need.weight_len = need.weight_len.max(weight_len(&spec));
+            need.readout_len = need.readout_len.max(readout_len(shape, &spec));
+            let slot = *class_ix.entry(key).or_insert_with(|| {
+                need.c_ins.push(spec.c_in);
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+            classes[slot].push(WaveMember { idx, shape: *shape, spec, seed: derived });
         }
+        if classes.is_empty() {
+            return out;
+        }
+
+        // Draw phase: keep only the layers this wave touches, then grow them
+        // (layers are independent, so they draw in parallel).
+        let mut layers = self.layers.lock().expect("probe streams");
+        layers.retain(|layer, _| needs.contains_key(layer));
+        for &layer in needs.keys() {
+            layers.entry(layer).or_insert_with(|| LayerStreams::new(layer));
+        }
+        let growing: Vec<_> = layers.iter_mut().map(|(&layer, s)| (layer, s)).collect();
+        let drawn: Vec<usize> =
+            growing.into_par_iter().map(|(layer, s)| s.draw(layer, &needs[&layer])).collect();
+        NORMALS_DRAWN.add(drawn.iter().sum::<usize>() as u64);
+
+        // Classes are independent: fan them out over the worker pool.
+        let layers = &*layers;
+        let scored: Vec<Vec<(usize, f64)>> = classes
+            .into_par_iter()
+            .map(|members| {
+                let layer = &layers[&members[0].seed];
+                probe_class(members, layer)
+            })
+            .collect();
+        for (idx, score) in scored.into_iter().flatten() {
+            out[idx] = score;
+        }
+        out
     }
-    out
 }
 
 /// One shape-class member awaiting its batched probe.
@@ -575,71 +815,15 @@ struct WaveMember {
     seed: u64,
 }
 
-/// Scores a wave of shapes with probe convolutions batched by **shape
-/// class** — shapes whose probes share the derived seed and input geometry
-/// `(c_in, kernel, stride, padding)`, hence the same synthetic minibatch and
-/// the same patch matrix. Memo-free and pure; [`batch_conv_shape_fisher`] is
-/// the memo-aware wrapper.
-///
-/// Per class, the minibatch is built once and lowered once
-/// ([`im2col_batch`]); every member × group convolution of a repeat then
-/// runs in one wide multi-image GEMM wave against the shared patch matrix
-/// ([`gemm_nn_batch`]), which amortises the lowering that the per-candidate
-/// path re-does `PROXY_BATCH × PROBE_REPEATS` times per candidate and raises
-/// the GEMMs' arithmetic intensity 8×. On the packed micro-kernel path the
-/// batch executor additionally packs each class's shared patch-matrix band
-/// once per wave (tasks are grouped by `B` operand identity), so every
-/// member product of a repeat runs against one pre-packed panel.
-///
-/// The probe **tail** is batched too: members stack by post-truncation
-/// geometry into [`TailClass`]es, and each class × repeat runs one
-/// `batch_norm2d_batch` pass, one fused ReLU, one wide readout GEMM against
-/// the repeat's shared head, one `cross_entropy_batch`, and one batched
-/// backward ([`tail_wave`]). All weight and readout randomness is hoisted
-/// into pooled per-class Box–Muller streams whose prefixes reproduce the
-/// exact per-member draws (`fill_normal` prefix stability). Members whose
-/// probe `conv2d` would not dispatch to the GEMM path (depthwise-style
-/// grouping, degenerate widths) fall back to the per-candidate kernel, so
-/// every score stays **bit-identical** to
-/// [`conv_shape_fisher_unmemoised`].
-pub fn probe_wave(shapes: &[ConvShape], seed: u64) -> Vec<f64> {
-    let mut out = vec![0.0f64; shapes.len()];
-    // Group by shape class, preserving first-occurrence order (scores are
-    // pure, so grouping order only affects scheduling, never values).
-    type ClassKey = (u64, usize, usize, usize, usize);
-    let mut classes: Vec<Vec<WaveMember>> = Vec::new();
-    let mut class_ix: HashMap<ClassKey, usize> = HashMap::new();
-    for (idx, shape) in shapes.iter().enumerate() {
-        // Degenerate shapes never reach a probe; their score is 0.0.
-        let Some((spec, derived)) = probe_setup(shape, seed) else { continue };
-        let key = (derived, spec.c_in, spec.kernel, spec.stride, spec.padding);
-        let slot = *class_ix.entry(key).or_insert_with(|| {
-            classes.push(Vec::new());
-            classes.len() - 1
-        });
-        classes[slot].push(WaveMember { idx, shape: *shape, spec, seed: derived });
-    }
-
-    // Classes are independent: fan them out over the worker pool.
-    let scored: Vec<Vec<(usize, f64)>> = classes.into_par_iter().map(probe_class).collect();
-    for (idx, score) in scored.into_iter().flatten() {
-        out[idx] = score;
-    }
-    out
-}
-
-/// Executes one shape class: shared minibatch, one batched lowering, one
-/// GEMM wave per repeat, then class-wide stacked tail waves (one per tail
-/// geometry × repeat) with every RNG draw hoisted into pooled per-class
-/// streams.
-fn probe_class(members: Vec<WaveMember>) -> Vec<(usize, f64)> {
-    let seed = members[0].seed;
-    let c_in = members[0].spec.c_in;
+/// Executes one shape class on its layer's drawn streams: shared
+/// minibatch, one batched lowering, then per repeat one GEMM wave followed
+/// at once by that repeat's class-wide stacked tail waves (one per tail
+/// geometry).
+fn probe_class(members: Vec<WaveMember>, layer: &LayerStreams) -> Vec<(usize, f64)> {
     let (h, w) = (PROXY_RESOLUTION, PROXY_RESOLUTION);
-    let Ok(dataset) = SyntheticDataset::custom(PROXY_CLASSES, c_in, PROXY_RESOLUTION, seed) else {
+    let Some(batch) = layer.batches.get(&members[0].spec.c_in) else {
         return members.iter().map(|m| (m.idx, 0.0)).collect();
     };
-    let batch = dataset.minibatch(PROXY_BATCH, derive_seed(seed, 1));
 
     let mut scored = Vec::with_capacity(members.len());
     let (gemm_members, fallback): (Vec<&WaveMember>, Vec<&WaveMember>) =
@@ -647,12 +831,9 @@ fn probe_class(members: Vec<WaveMember>) -> Vec<(usize, f64)> {
 
     // Members the conv2d dispatcher would run naively (tiny widths,
     // depthwise-style grouping) probe exactly like the per-candidate path,
-    // sharing only the minibatch.
+    // sharing only the minibatch and the draws.
     for m in fallback {
-        let score =
-            (0..PROBE_REPEATS).map(|r| probe_once(&m.shape, &m.spec, &batch, seed, r)).sum::<f64>()
-                / PROBE_REPEATS as f64;
-        scored.push((m.idx, score));
+        scored.push((m.idx, layer.probe_member(m, batch)));
     }
     if gemm_members.is_empty() {
         return scored;
@@ -665,42 +846,53 @@ fn probe_class(members: Vec<WaveMember>) -> Vec<(usize, f64)> {
     let mut col = vec![0.0f32; col_rows * batch_cols];
     im2col_batch(batch.images.as_slice(), &gemm_members[0].spec, h, w, PROXY_BATCH, &mut col);
 
-    // Draw every member × repeat weight set from **pooled** Box–Muller
-    // streams: the Kaiming derivation seed `derive_seed(seed, 2 + r·7919)`
-    // does not involve the member, so all members of a class share one
-    // normal stream per repeat and differ only in draw length and Kaiming
-    // scale. `fill_normal` streams are bitwise prefix-stable (see its docs),
-    // so slicing one pooled draw and applying each member's own
-    // `√(2/fan_in)` reproduces `Tensor::kaiming`'s exact tensor — the
-    // per-member `ln`/`sqrt`/`sin_cos` work collapses to once per class ×
-    // repeat. Each repeat's products then run as one GEMM wave against the
-    // shared patch matrix. Repeats go one at a time, refilling one pool and
-    // the member weight buffers in place, so only one repeat's draws are
-    // ever live: several classes' probes can be in flight at once, and the
-    // buffers are allocated once per class rather than freed mid-probe.
-    let repeats = PROBE_REPEATS as usize;
-    let max_w_len =
-        gemm_members.iter().map(|m| m.spec.weight_dims().iter().product()).max().unwrap_or(0);
-    let mut scratches: Vec<Vec<f32>> = gemm_members
-        .iter()
-        .flat_map(|m| (0..repeats).map(move |_| vec![0.0f32; m.spec.c_out * batch_cols]))
-        .collect();
+    // Tail classes. Everything after the convolution runs as stacked waves.
+    // Members of a class share (c_in, kernel, stride, padding) and hence the
+    // conv output geometry, but spatial bottlenecking and output width still
+    // differ per member, so units stack by **tail class** — the
+    // post-truncation geometry `(c_out, th, tw)`. Every member unit of a
+    // tail class is shape-homogeneous and shares the repeat's readout head
+    // (its derivation seed involves only the layer seed and the repeat; the
+    // tail class fixes the prefix length, `classes × features`), so the
+    // whole tail collapses to one BN pass, one fused ReLU, one wide readout
+    // GEMM, one batched cross-entropy and one batched readout backward per
+    // tail class × repeat.
+    let (oh, ow) = gemm_members[0].spec.output_hw(h, w);
+    let mut tail_ix: HashMap<(usize, usize, usize), usize> = HashMap::new();
+    let mut tails: Vec<TailClass> = Vec::new();
+    for (mi, m) in gemm_members.iter().enumerate() {
+        let (th, tw) = truncated_hw(&m.shape, (oh, ow));
+        let key = (m.spec.c_out, th, tw);
+        let slot = *tail_ix.entry(key).or_insert_with(|| {
+            tails.push(TailClass { c_out: m.spec.c_out, th, tw, members: Vec::new() });
+            tails.len() - 1
+        });
+        tails[slot].members.push(mi);
+    }
+
+    // Repeats run one at a time: each member's weights are its repeat
+    // stream's prefix scaled by its own `√(2/fan_in)` (bit for bit
+    // `Tensor::kaiming`), the member × group products run as one GEMM wave
+    // against the shared patch matrix, and the repeat's tail waves consume
+    // the products at once — so a member needs one product scratch and one
+    // weight buffer, reused across repeats. Scores assemble per member as
+    // `Σ_r Δ_{m,r}·mix / R` in ascending `r` — the exact f64 chain the
+    // per-candidate caller sums. A tail-wave error (impossible for validated
+    // probe geometry, but the per-candidate path degrades to 0.0 rather than
+    // panicking, so this path must too) re-scores the class's GEMM members
+    // with the per-member reference probe.
+    let mut scratches: Vec<Vec<f32>> =
+        gemm_members.iter().map(|m| vec![0.0f32; m.spec.c_out * batch_cols]).collect();
     let mut weights: Vec<Vec<f32>> =
-        gemm_members.iter().map(|m| vec![0.0f32; m.spec.weight_dims().iter().product()]).collect();
-    let mut pool = Vec::with_capacity(max_w_len);
+        gemm_members.iter().map(|m| vec![0.0f32; weight_len(&m.spec)]).collect();
+    let mut totals = vec![0.0f64; gemm_members.len()];
     for r in 0..PROBE_REPEATS {
-        pool.clear();
-        fill_normal(&mut seeded(derive_seed(seed, 2 + r * 7919)), max_w_len, &mut pool);
-        for (m, wt) in gemm_members.iter().zip(&mut weights) {
-            let fan_in: usize = m.spec.weight_dims().iter().skip(1).product::<usize>().max(1);
-            let std = (2.0 / fan_in as f32).sqrt();
-            for (w, v) in wt.iter_mut().zip(&pool) {
-                *w = v * std;
-            }
-        }
         let mut tasks = Vec::new();
-        let member_scratches = scratches.iter_mut().skip(r as usize).step_by(repeats);
-        for ((m, wt), scratch) in gemm_members.iter().zip(&weights).zip(member_scratches) {
+        for ((m, wt), scratch) in gemm_members.iter().zip(&mut weights).zip(&mut scratches) {
+            layer.kaiming_into(&m.spec, r, wt);
+            // `gemm_nn_batch` accumulates into C: clear the last repeat's
+            // product first.
+            scratch.fill(0.0);
             let spec = &m.spec;
             let cog = spec.c_out_per_group();
             let group_rows = spec.c_in_per_group() * spec.kernel * spec.kernel;
@@ -716,94 +908,20 @@ fn probe_class(members: Vec<WaveMember>) -> Vec<(usize, f64)> {
             }
         }
         gemm_nn_batch(tasks);
-    }
 
-    // ---- class-wide tail waves ----
-    //
-    // Everything after the convolution used to run once per member × repeat;
-    // now it runs as stacked waves. Members of a class share (c_in, kernel,
-    // stride, padding) and hence the conv output geometry, but spatial
-    // bottlenecking and output width still differ per member, so units stack
-    // by **tail class** — the post-truncation geometry `(c_out, th, tw)`.
-    // Every member × repeat unit of a tail class is shape-homogeneous and
-    // shares the repeat's readout weight (its derivation seed involves only
-    // the class seed and the repeat; the tail class fixes the draw length,
-    // `classes × features`), so the whole tail
-    // collapses to one BN pass, one fused ReLU, one wide readout GEMM, one
-    // batched cross-entropy and one batched backward per tail class × repeat.
-    let (oh, ow) = gemm_members[0].spec.output_hw(h, w);
-    let mut tail_ix: HashMap<(usize, usize, usize), usize> = HashMap::new();
-    let mut tails: Vec<TailClass> = Vec::new();
-    for (mi, m) in gemm_members.iter().enumerate() {
-        let th = (oh as i64 / m.shape.sb_h).max(1) as usize;
-        let tw = (ow as i64 / m.shape.sb_w).max(1) as usize;
-        let key = (m.spec.c_out, th, tw);
-        let slot = *tail_ix.entry(key).or_insert_with(|| {
-            tails.push(TailClass { c_out: m.spec.c_out, th, tw, members: Vec::new() });
-            tails.len() - 1
-        });
-        tails[slot].members.push(mi);
-    }
-
-    // Hoist the readout draws the same way as the weights: one pooled
-    // stream per repeat covers every tail class's `classes × features` head
-    // as a prefix (streams are shared even across *different* feature
-    // counts — prefix stability again).
-    let max_r_len = tails.iter().map(|t| PROXY_CLASSES * t.features()).max().unwrap_or(0);
-    let readout_pools: Vec<Vec<f32>> = (0..PROBE_REPEATS)
-        .map(|r| normal_pool(derive_seed(seed, 3 + r * 104_729), max_r_len))
-        .collect();
-
-    // Scores assemble per member as `Σ_r Δ_{m,r}·mix / R` in ascending `r` —
-    // the exact f64 chain the per-candidate caller sums. A tail-wave error
-    // (impossible for validated probe geometry, but the per-candidate path
-    // degrades to 0.0 rather than panicking, so this path must too) falls
-    // back to the per-member reference tail below.
-    let mut totals = vec![0.0f64; gemm_members.len()];
-    let mut waves_ok = true;
-    'tails: for tail in &tails {
-        for (r, pool) in readout_pools.iter().enumerate() {
-            let wave = tail_wave(tail, &scratches, r, pool, &batch.labels, (cols, batch_cols, ow));
-            match wave {
-                Ok(deltas) => {
-                    for (ui, &mi) in tail.members.iter().enumerate() {
-                        totals[mi] += deltas[ui] * mixing_factor(&gemm_members[mi].shape);
-                    }
-                }
-                Err(_) => {
-                    waves_ok = false;
-                    break 'tails;
-                }
+        let readout = layer.readouts[r].samples();
+        for tail in &tails {
+            let wave = tail_wave(tail, &scratches, readout, &batch.labels, (cols, batch_cols, ow));
+            let Ok(deltas) = wave else {
+                scored.extend(gemm_members.iter().map(|m| (m.idx, layer.probe_member(m, batch))));
+                return scored;
+            };
+            for (ui, &mi) in tail.members.iter().enumerate() {
+                totals[mi] += deltas[ui] * mixing_factor(&gemm_members[mi].shape);
             }
         }
     }
-
-    if waves_ok {
-        for (mi, m) in gemm_members.iter().enumerate() {
-            scored.push((m.idx, totals[mi] / PROBE_REPEATS as f64));
-        }
-        return scored;
-    }
-
-    // Reference fallback: scatter each product back to NCHW ([`conv2d`]'s
-    // output layout) and run the per-member probe tail, exactly as the
-    // pre-tail-wave scheduler did.
-    for (mi, m) in gemm_members.iter().enumerate() {
-        let c_out = m.spec.c_out;
-        let mut total = 0.0f64;
-        for r in 0..PROBE_REPEATS as usize {
-            let scratch = &scratches[mi * PROBE_REPEATS as usize + r];
-            let mut data = vec![0.0f32; PROXY_BATCH * c_out * cols];
-            for im in 0..PROXY_BATCH {
-                for co in 0..c_out {
-                    let src = &scratch[co * batch_cols + im * cols..][..cols];
-                    data[(im * c_out + co) * cols..][..cols].copy_from_slice(src);
-                }
-            }
-            let conv_out = Tensor::from_vec(&[PROXY_BATCH, c_out, oh, ow], data)
-                .expect("probe conv output shape");
-            total += probe_tail(&m.shape, &m.spec, &batch, seed, r as u64, conv_out);
-        }
+    for (m, total) in gemm_members.iter().zip(totals) {
         scored.push((m.idx, total / PROBE_REPEATS as f64));
     }
     scored
@@ -827,28 +945,26 @@ impl TailClass {
     }
 }
 
-/// Runs one tail class × repeat as a stacked wave and returns each member's
-/// Fisher delta (Eq. 5, before the mixing factor), **bit-identical** to
-/// running [`probe_tail`] per member:
+/// Runs one tail class of the current repeat as a stacked wave and returns
+/// each member's Fisher delta (Eq. 5, before the mixing factor),
+/// **bit-identical** to running [`probe_tail`] per member:
 ///
-/// 1. gather every member's GEMM product into one `[M, n, c, th, tw]`
-///    tensor (the NCHW scatter and the spatial truncation fused into one
-///    strided copy);
+/// 1. gather every member's GEMM product (`scratches[mi]`) into one
+///    `[M, n, c, th, tw]` tensor (the NCHW scatter and the spatial
+///    truncation fused into one strided copy);
 /// 2. one [`batch_norm2d_batch`] pass (per-unit statistics, bit-identical
 ///    per unit), one fused [`relu`] over the whole stack;
 /// 3. one wide readout GEMM ([`linear_batch`]): all members' activation
-///    rows against the repeat's shared fixed-scale head;
+///    rows against the repeat's shared fixed-scale head, a prefix of
+///    `readout`;
 /// 4. one [`cross_entropy_batch`] against the class minibatch's labels;
-/// 5. one batched backward — [`linear_d_input_batch`],
-///    [`relu_backward_in_place`], [`batch_norm2d_backward_batch`] — with the
-///    per-unit deltas read off between the readout backward and the
-///    (discarded, but gradient-flow-honest) BN backward, exactly where the
-///    per-member tail reads them.
+/// 5. one batched readout backward ([`linear_d_input_batch`]), from which
+///    the per-unit deltas are read — the gradient Eq. 4 consumes, exactly
+///    where the per-member tail reads it.
 fn tail_wave(
     tail: &TailClass,
     scratches: &[Vec<f32>],
-    r: usize,
-    readout_pool: &[f32],
+    readout: &[f32],
     labels: &[usize],
     (cols, batch_cols, ow): (usize, usize, usize),
 ) -> pte_tensor::Result<Vec<f64>> {
@@ -861,7 +977,7 @@ fn tail_wave(
     // scratches (layout `[c_out, n·cols]`) into unit-major NCHW.
     let mut data = vec![0.0f32; m_count * unit_len];
     for (ui, &mi) in tail.members.iter().enumerate() {
-        let scratch = &scratches[mi * PROBE_REPEATS as usize + r];
+        let scratch = &scratches[mi];
         for im in 0..PROXY_BATCH {
             for co in 0..c_out {
                 let src_base = co * batch_cols + im * cols;
@@ -877,16 +993,16 @@ fn tail_wave(
 
     let gamma = vec![1.0f32; c_out];
     let beta = vec![0.0f32; c_out];
-    let (bn_out, bn_cache) = batch_norm2d_batch(&stacked, &gamma, &beta)?;
+    let bn_out = batch_norm2d_batch(&stacked, &gamma, &beta)?;
     let act = relu(&bn_out);
     // Flatten by moving the buffer (`from_vec` takes ownership): the stacked
     // layout already is `[M·n, features]` row-major.
     let flat = Tensor::from_vec(&[m_count * PROXY_BATCH, features], act.into_vec())?;
 
-    // The repeat's shared readout head, sliced from the pooled stream (same
+    // The repeat's shared readout head, sliced from the layer's stream (same
     // fixed `READOUT_STD` scale as the per-member draw).
     let w_fc_data: Vec<f32> =
-        readout_pool[..PROXY_CLASSES * features].iter().map(|v| v * READOUT_STD).collect();
+        readout[..PROXY_CLASSES * features].iter().map(|v| v * READOUT_STD).collect();
     let w_fc = Tensor::from_vec(&[PROXY_CLASSES, features], w_fc_data)?;
     let bias = vec![0.0f32; PROXY_CLASSES];
 
@@ -894,9 +1010,8 @@ fn tail_wave(
     let (_losses, d_logits) = cross_entropy_batch(&logits, labels, m_count)?;
     let d_flat = linear_d_input_batch(&d_logits, &w_fc)?;
 
-    // Per-unit Fisher deltas (activation ⊙ gradient, Eq. 4/5) before the
-    // backward exercise consumes the gradient buffer.
-    let deltas: Vec<f64> = (0..m_count)
+    // Per-unit Fisher deltas (activation ⊙ gradient, Eq. 4/5).
+    Ok((0..m_count)
         .map(|u| {
             layer_delta_nchw(
                 &flat.as_slice()[u * unit_len..],
@@ -907,16 +1022,7 @@ fn tail_wave(
                 tw,
             )
         })
-        .collect();
-
-    // Exercise the remaining backward path (kept from the per-member tail:
-    // a BN that zeroed gradients would zero the score too). In-place mask,
-    // results discarded.
-    let mut d_act = Tensor::from_vec(&[m_count, PROXY_BATCH, c_out, th, tw], d_flat.into_vec())?;
-    relu_backward_in_place(&bn_out, &mut d_act)?;
-    let _ = batch_norm2d_backward_batch(&bn_cache, &d_act)?;
-
-    Ok(deltas)
+        .collect())
 }
 
 #[cfg(test)]
@@ -984,6 +1090,70 @@ mod tests {
         let mut z = shape(16, 16, 3);
         z.c_out = 0;
         assert_eq!(conv_shape_fisher(&z, 1), 0.0);
+    }
+
+    /// Variants of one 32→32 3×3 layer (one derived probe seed), including
+    /// a depthwise variant that probes on the per-candidate fallback path.
+    fn layer_variants() -> Vec<ConvShape> {
+        let original = shape(32, 32, 3);
+        let mut narrow = original;
+        (narrow.c_out, narrow.bottleneck) = (8, 4);
+        let mut sliced = original;
+        (sliced.c_in, sliced.in_bottleneck) = (16, 2);
+        let mut spatial = original;
+        (spatial.sb_h, spatial.sb_w) = (2, 1);
+        let mut grouped = original;
+        grouped.groups = 4;
+        let mut depthwise = original;
+        depthwise.groups = 32;
+        vec![narrow, sliced, spatial, grouped, depthwise, original]
+    }
+
+    #[test]
+    fn scoped_probes_match_the_reference_and_draw_each_stream_once() {
+        let seed = 0x5C0B;
+        let variants = layer_variants();
+        let reference: Vec<u64> =
+            variants.iter().map(|s| conv_shape_fisher_unmemoised(s, seed).to_bits()).collect();
+        // Streams grow (narrow variants first), shrink (original first) and
+        // are re-sliced by a later multi-member wave through the same scope.
+        let growing: Vec<usize> = (0..variants.len()).collect();
+        let shrinking: Vec<usize> = growing.iter().rev().copied().collect();
+        for order in [growing, shrinking] {
+            let scope = ProbeStreams::default();
+            for &i in &order {
+                let scoped = scope.probe_wave(&variants[i..=i], seed)[0];
+                assert_eq!(scoped.to_bits(), reference[i], "variant {i}");
+            }
+            let wave: Vec<u64> =
+                scope.probe_wave(&variants, seed).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(wave, reference);
+
+            let layers = scope.layers.lock().unwrap();
+            assert_eq!(layers.len(), 1, "all variants share one layer's streams");
+            let layer = layers.values().next().unwrap();
+            let specs: Vec<_> = variants.iter().map(|s| (s, probe_spec(s))).collect();
+            let longest_w = specs.iter().map(|(_, spec)| weight_len(spec)).max().unwrap();
+            let longest_r = specs.iter().map(|(s, spec)| readout_len(s, spec)).max().unwrap();
+            for stream in &layer.weights {
+                assert_eq!(stream.samples().len(), longest_w.next_multiple_of(2));
+            }
+            for stream in &layer.readouts {
+                assert_eq!(stream.samples().len(), longest_r.next_multiple_of(2));
+            }
+            assert_eq!(layer.batches.len(), 2, "one minibatch per probe input width");
+        }
+    }
+
+    #[test]
+    fn a_wave_keeps_only_the_layers_it_touches() {
+        let scope = ProbeStreams::default();
+        scope.probe_wave(&[shape(32, 32, 3), shape(16, 24, 3)], 3);
+        assert_eq!(scope.layers.lock().unwrap().len(), 2);
+        let later = shape(16, 16, 1);
+        let score = scope.probe_wave(&[later], 3)[0];
+        assert_eq!(score.to_bits(), conv_shape_fisher_unmemoised(&later, 3).to_bits());
+        assert_eq!(scope.layers.lock().unwrap().len(), 1);
     }
 
     #[test]

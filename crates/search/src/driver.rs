@@ -135,10 +135,13 @@ pub fn run(
     // cancellation), then let the strategy explore it with a task-local
     // ladder and statistics. The nested waves run inline on the class's
     // worker, so the pool stays busy across classes rather than within
-    // one class's small waves.
+    // one class's small waves. Each task probes through its own evaluator
+    // clone, whose probe-stream scope draws the layer's random streams once
+    // (at the baseline probe) and is dropped when the task returns.
     let classes: Vec<_> = network.distinct_configs().into_iter().enumerate().collect();
     let per_class = wave::map_ordered(classes, ctx.parallel, |(idx, layer)| {
         ctx.cancel.check()?;
+        let evaluator = evaluator.clone();
         let multiplicity = network.config_multiplicity(layer);
         let baseline = evaluator.tune_candidate(layer, multiplicity, vec![layer.to_schedule()]);
         let mut ladder = vec![baseline.clone()];

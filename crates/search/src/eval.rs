@@ -15,11 +15,12 @@
 //!    default, since tuning can close large gaps);
 //! 3. **Fisher legality** — the paper's capacity check (§5.2). The wave's
 //!    distinct `ConvShape` probes are first handed to the **probe
-//!    scheduler** ([`pte_fisher::proxy::batch_conv_shape_fisher`]), which
-//!    groups them by shape class and executes each class as batched
-//!    multi-image im2col + GEMM waves — bit-identical to per-candidate
-//!    probing, but with the lowering amortised — before the per-candidate
-//!    legality decisions read the memoised scores;
+//!    scheduler** ([`ProbeStreams::batch_conv_shape_fisher`], through the
+//!    evaluator's probe-stream scope), which groups them by shape class and
+//!    executes each class as batched multi-image im2col + GEMM waves on
+//!    random streams drawn once per layer — bit-identical to per-candidate
+//!    probing, but with the lowering and the draws amortised — before the
+//!    per-candidate legality decisions read the memoised scores;
 //! 4. **autotune** — survivors are tuned with the shared template tuner and
 //!    assembled into [`LayerChoice`]s.
 //!
@@ -31,6 +32,7 @@
 use std::sync::LazyLock;
 
 use pte_autotune::{tune, wave, TuneOptions};
+use pte_fisher::proxy::ProbeStreams;
 use pte_fisher::FisherLegality;
 use pte_ir::ConvShape;
 use pte_machine::cost::estimate_many;
@@ -179,15 +181,28 @@ impl ClassWave {
     }
 }
 
-/// The staged candidate evaluator: one instance per search run, shared by
-/// every layer class it visits.
-#[derive(Debug, Clone)]
+/// The staged candidate evaluator. The search driver configures one per
+/// run and hands each layer-class task its own clone.
+///
+/// Every probe the evaluator runs goes through its probe-stream scope
+/// ([`ProbeStreams`]), which draws each of the layer's random streams once
+/// and lets every later probe of that layer slice them. A clone keeps the
+/// configuration but starts an empty scope, so a class task's streams live
+/// exactly as long as its clone.
+#[derive(Debug)]
 pub struct Evaluator<'a> {
     platform: &'a Platform,
     tune: TuneOptions,
     class_legality: Option<FisherLegality>,
     cost_gate: Option<f64>,
     parallel: bool,
+    probes: ProbeStreams,
+}
+
+impl Clone for Evaluator<'_> {
+    fn clone(&self) -> Self {
+        Evaluator { probes: ProbeStreams::default(), ..*self }
+    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -195,7 +210,14 @@ impl<'a> Evaluator<'a> {
     /// structural and autotune stages act (what interpolation sweeps and
     /// baseline compilation need).
     pub fn new(platform: &'a Platform, tune: TuneOptions) -> Self {
-        Evaluator { platform, tune, class_legality: None, cost_gate: None, parallel: true }
+        Evaluator {
+            platform,
+            tune,
+            class_legality: None,
+            cost_gate: None,
+            parallel: true,
+            probes: ProbeStreams::default(),
+        }
     }
 
     /// Enables the Fisher legality stage. The decision is made at class
@@ -248,7 +270,7 @@ impl<'a> Evaluator<'a> {
             let result = tune(&schedule, self.platform, &self.tune);
             total_ms += result.report.time_ms;
             if let Some(shape) = result.schedule.nest().conv() {
-                fisher += pte_fisher::proxy::conv_shape_fisher(shape, self.tune.seed);
+                fisher += self.probes.conv_shape_fisher(shape, self.tune.seed);
             }
             tuned.push(result.schedule);
         }
@@ -340,7 +362,7 @@ impl<'a> Evaluator<'a> {
                     .filter(|&(_, gated)| !gated)
                     .flat_map(|(c, _)| c.schedules.iter().filter_map(|s| s.nest().conv().copied()))
                     .collect();
-                let scores = pte_fisher::proxy::batch_conv_shape_fisher(&shapes, self.tune.seed);
+                let scores = self.probes.batch_conv_shape_fisher(&shapes, self.tune.seed);
                 shapes.into_iter().zip(scores).collect()
             } else {
                 std::collections::HashMap::new()
@@ -367,9 +389,10 @@ impl<'a> Evaluator<'a> {
                 .iter()
                 .filter_map(|s| s.nest().conv().copied())
                 .map(|shape| {
-                    wave_scores.get(&shape).copied().unwrap_or_else(|| {
-                        pte_fisher::proxy::conv_shape_fisher(&shape, self.tune.seed)
-                    })
+                    wave_scores
+                        .get(&shape)
+                        .copied()
+                        .unwrap_or_else(|| self.probes.conv_shape_fisher(&shape, self.tune.seed))
                 })
                 .sum();
             if let Some(legality) = self.class_legality {

@@ -22,34 +22,6 @@ pub fn relu_backward(x: &Tensor, d_out: &Tensor) -> Result<Tensor> {
     x.zip(d_out, |xv, g| if xv > 0.0 { g } else { 0.0 })
 }
 
-/// [`relu_backward`] writing into `d_out` directly: `d_out[i]` is zeroed
-/// where `x[i] <= 0` and kept otherwise.
-///
-/// Values are **bit-identical** to [`relu_backward`]; the in-place form
-/// exists for the probe scheduler's stacked tail waves, where the masked
-/// gradient is a wave-sized tensor the caller no longer needs unmasked —
-/// allocating a second copy per wave would be pure overhead.
-///
-/// # Errors
-/// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-pub fn relu_backward_in_place(x: &Tensor, d_out: &mut Tensor) -> Result<()> {
-    if x.shape() != d_out.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "relu_backward_in_place",
-            expected: x.shape().clone(),
-            found: d_out.shape().clone(),
-        });
-    }
-    for (g, &xv) in d_out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        // Same predicate as `relu_backward` (NaN inputs zero the gradient).
-        if xv > 0.0 {
-            continue;
-        }
-        *g = 0.0;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,20 +38,6 @@ mod tests {
         let x = Tensor::from_vec(&[3], vec![-1.0, 1.0, 3.0]).unwrap();
         let g = Tensor::from_vec(&[3], vec![5.0, 5.0, 5.0]).unwrap();
         assert_eq!(relu_backward(&x, &g).unwrap().as_slice(), &[0.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn in_place_backward_matches_allocating_form() {
-        let x = Tensor::randn(&[3, 7], 17);
-        let g = Tensor::randn(&[3, 7], 18);
-        let want = relu_backward(&x, &g).unwrap();
-        let mut got = g.clone();
-        relu_backward_in_place(&x, &mut got).unwrap();
-        for (a, b) in got.iter().zip(want.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let mut wrong = Tensor::zeros(&[7, 3]);
-        assert!(relu_backward_in_place(&x, &mut wrong).is_err());
     }
 
     proptest! {

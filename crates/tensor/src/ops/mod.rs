@@ -22,7 +22,7 @@ mod maxpool;
 mod norm;
 mod pool;
 
-pub use activation::{relu, relu_backward, relu_backward_in_place};
+pub use activation::{relu, relu_backward};
 pub use conv::{
     conv2d, conv2d_backward, conv2d_backward_gemm, conv2d_backward_naive, conv2d_gemm,
     conv2d_naive, set_force_naive, uses_gemm_path, Conv2dGrads, Conv2dSpec, GEMM_MIN_MACS,
@@ -30,8 +30,5 @@ pub use conv::{
 pub use linear::{linear, linear_backward, linear_batch, linear_d_input_batch, LinearGrads};
 pub use loss::{cross_entropy, cross_entropy_batch, softmax};
 pub use maxpool::{max_pool2d, max_pool2d_backward, MaxPoolCache};
-pub use norm::{
-    batch_norm2d, batch_norm2d_backward, batch_norm2d_backward_batch, batch_norm2d_batch,
-    BatchNormBatchCache, BatchNormCache,
-};
+pub use norm::{batch_norm2d, batch_norm2d_backward, batch_norm2d_batch, BatchNormCache};
 pub use pool::{avg_pool2d, avg_pool2d_backward, global_avg_pool, global_avg_pool_backward};

@@ -104,9 +104,7 @@ fn bn_forward_unit(
     }
 }
 
-/// One unit's batch-norm backward over flat NCHW slices — shared by
-/// [`batch_norm2d_backward`] and [`batch_norm2d_backward_batch`] (see
-/// [`bn_forward_unit`] for why).
+/// One unit's batch-norm backward over flat NCHW slices ([`batch_norm2d_backward`]).
 fn bn_backward_unit(
     dy: &[f32],
     xh: &[f32],
@@ -138,21 +136,6 @@ fn bn_backward_unit(
     }
 }
 
-/// Values saved by [`batch_norm2d_batch`] for [`batch_norm2d_backward_batch`].
-///
-/// Identical in content to `units` independent [`BatchNormCache`]s, stored
-/// contiguously: `x_hat` keeps the stacked rank-5 layout and `std` holds
-/// `units × c` per-channel deviations (unit-major).
-#[derive(Debug, Clone)]
-pub struct BatchNormBatchCache {
-    /// Normalised activations for every unit, `[units, n, c, h, w]`.
-    pub x_hat: Tensor,
-    /// Per-unit, per-channel batch standard deviation (unit-major, `units·c`).
-    pub std: Vec<f32>,
-    /// Per-channel scale parameters (shared by every unit).
-    pub gamma: Vec<f32>,
-}
-
 fn check_rank5(x: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usize, usize)> {
     let d = x.shape().dims();
     if d.len() != 5 {
@@ -176,16 +159,14 @@ fn check_rank5(x: &Tensor, op: &'static str) -> Result<(usize, usize, usize, usi
 ///
 /// One call replaces `units` small forward passes: the probe scheduler
 /// stacks a shape class's members into one wave so the whole tail runs as a
-/// handful of wide passes instead of hundreds of tensor-sized ones.
+/// handful of wide passes instead of hundreds of tensor-sized ones. The
+/// probe reads its score above the batch norm, so no backward cache is
+/// kept.
 ///
 /// # Errors
 /// Returns an error if `x` is not rank-5 or the parameter lengths do not
 /// match the channel count.
-pub fn batch_norm2d_batch(
-    x: &Tensor,
-    gamma: &[f32],
-    beta: &[f32],
-) -> Result<(Tensor, BatchNormBatchCache)> {
+pub fn batch_norm2d_batch(x: &Tensor, gamma: &[f32], beta: &[f32]) -> Result<Tensor> {
     let (units, n, c, h, w) = check_rank5(x, "batch_norm2d_batch")?;
     if gamma.len() != c || beta.len() != c {
         return Err(TensorError::InvalidShape {
@@ -196,57 +177,22 @@ pub fn batch_norm2d_batch(
     let unit_len = n * c * h * w;
     let xs = x.as_slice();
     let mut y = Tensor::zeros(&[units, n, c, h, w]);
-    let mut x_hat = Tensor::zeros(&[units, n, c, h, w]);
-    let mut stds = vec![0.0f32; units * c];
+    let mut x_hat = vec![0.0f32; unit_len];
+    let mut stds = vec![0.0f32; c];
 
     for u in 0..units {
         let ub = u * unit_len;
         bn_forward_unit(
             &xs[ub..ub + unit_len],
             &mut y.as_mut_slice()[ub..ub + unit_len],
-            &mut x_hat.as_mut_slice()[ub..ub + unit_len],
-            &mut stds[u * c..(u + 1) * c],
+            &mut x_hat,
+            &mut stds,
             gamma,
             beta,
             (n, c, h, w),
         );
     }
-    let cache = BatchNormBatchCache { x_hat, std: stds, gamma: gamma.to_vec() };
-    Ok((y, cache))
-}
-
-/// Backward pass of [`batch_norm2d_batch`]: per-unit input gradients, each
-/// **bit-identical** to [`batch_norm2d_backward`] on that unit alone (same
-/// per-channel reduction order).
-///
-/// # Errors
-/// Returns an error if `d_out`'s shape differs from the cached activations.
-pub fn batch_norm2d_backward_batch(cache: &BatchNormBatchCache, d_out: &Tensor) -> Result<Tensor> {
-    if d_out.shape() != cache.x_hat.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "batch_norm2d_backward_batch",
-            expected: cache.x_hat.shape().clone(),
-            found: d_out.shape().clone(),
-        });
-    }
-    let (units, n, c, h, w) = check_rank5(d_out, "batch_norm2d_backward_batch")?;
-    let unit_len = n * c * h * w;
-    let dy = d_out.as_slice();
-    let xh = cache.x_hat.as_slice();
-    let mut dx = Tensor::zeros(&[units, n, c, h, w]);
-
-    for u in 0..units {
-        let ub = u * unit_len;
-        bn_backward_unit(
-            &dy[ub..ub + unit_len],
-            &xh[ub..ub + unit_len],
-            &mut dx.as_mut_slice()[ub..ub + unit_len],
-            &cache.std[u * c..(u + 1) * c],
-            &cache.gamma,
-            (n, c, h, w),
-        );
-    }
-    Ok(dx)
+    Ok(y)
 }
 
 /// Batch-norm backward pass: gradient with respect to the input.
@@ -356,15 +302,13 @@ mod tests {
 
     #[test]
     fn batched_units_match_serial_calls_bitwise() {
-        // The probe-tail contract: each stacked unit's forward, cache, and
-        // backward are bit-identical to a standalone batch_norm2d on it.
+        // The probe-tail contract: each stacked unit's forward is
+        // bit-identical to a standalone batch_norm2d on it.
         let (units, n, c, h, w) = (3usize, 4usize, 2usize, 3usize, 5usize);
         let x = Tensor::randn(&[units, n, c, h, w], 31).map(|v| v * 2.0 - 0.3);
-        let d_out = Tensor::randn(&[units, n, c, h, w], 32);
         let gamma = [1.25, 0.5];
         let beta = [0.1, -0.7];
-        let (y, cache) = batch_norm2d_batch(&x, &gamma, &beta).unwrap();
-        let dx = batch_norm2d_backward_batch(&cache, &d_out).unwrap();
+        let y = batch_norm2d_batch(&x, &gamma, &beta).unwrap();
 
         let unit_len = n * c * h * w;
         for u in 0..units {
@@ -375,19 +319,9 @@ mod tests {
                 )
                 .unwrap()
             };
-            let (want_y, want_cache) = batch_norm2d(&slice(&x), &gamma, &beta).unwrap();
-            let want_dx = batch_norm2d_backward(&want_cache, &slice(&d_out)).unwrap();
+            let (want_y, _) = batch_norm2d(&slice(&x), &gamma, &beta).unwrap();
             for (a, b) in slice(&y).iter().zip(want_y.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "unit {u} forward diverged");
-            }
-            for (a, b) in slice(&cache.x_hat).iter().zip(want_cache.x_hat.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "unit {u} x_hat diverged");
-            }
-            for (a, b) in cache.std[u * c..(u + 1) * c].iter().zip(&want_cache.std) {
-                assert_eq!(a.to_bits(), b.to_bits(), "unit {u} std diverged");
-            }
-            for (a, b) in slice(&dx).iter().zip(want_dx.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "unit {u} backward diverged");
             }
         }
     }
@@ -398,7 +332,5 @@ mod tests {
         assert!(batch_norm2d_batch(&x4, &[1.0; 3], &[0.0; 3]).is_err());
         let x5 = Tensor::zeros(&[2, 1, 3, 2, 2]);
         assert!(batch_norm2d_batch(&x5, &[1.0; 2], &[0.0; 3]).is_err());
-        let (_, cache) = batch_norm2d_batch(&x5, &[1.0; 3], &[0.0; 3]).unwrap();
-        assert!(batch_norm2d_backward_batch(&cache, &Tensor::zeros(&[1, 1, 3, 2, 2])).is_err());
     }
 }

@@ -60,8 +60,10 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
 /// seed). This is load-bearing: the Fisher probe scheduler hoists each
 /// shape class's weight and readout draws into one pooled generation and
 /// hands every member a prefix, reproducing the exact stream the member
-/// would have drawn alone ([`crate::Tensor::randn`] of its own length). The
-/// `pooled_draws_are_bitwise_prefixes` test pins it.
+/// would have drawn alone ([`crate::Tensor::randn`] of its own length), and
+/// a probe-stream scope keeps each stream for a whole layer-class task,
+/// growing it in place ([`NormalStream`]) when a later wave needs a longer
+/// prefix. The `pooled_draws_are_bitwise_prefixes` test pins it.
 pub fn fill_normal<R: Rng + ?Sized>(rng: &mut R, n: usize, out: &mut Vec<f32>) {
     out.reserve(n);
     for _ in 0..n / 2 {
@@ -74,6 +76,44 @@ pub fn fill_normal<R: Rng + ?Sized>(rng: &mut R, n: usize, out: &mut Vec<f32>) {
     }
     if n % 2 == 1 {
         out.push(normal(rng));
+    }
+}
+
+/// A [`fill_normal`] stream that grows on demand: after any sequence of
+/// [`NormalStream::grow_to`] calls, [`NormalStream::samples`] is bitwise the
+/// stream a fresh `fill_normal(&mut seeded(seed), len)` draws.
+///
+/// Growth always draws whole Box–Muller pairs, so the RNG rests on a pair
+/// boundary — the one state from which continuing the same RNG reproduces a
+/// fresh longer draw (an odd draw would spend the sine of its last pair).
+/// The stream can therefore hold one sample more than was asked for; by
+/// prefix stability, every requested prefix is still the exact draw.
+#[derive(Debug, Clone)]
+pub struct NormalStream {
+    rng: StdRng,
+    samples: Vec<f32>,
+}
+
+impl NormalStream {
+    /// An empty stream seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        NormalStream { rng: seeded(seed), samples: Vec::new() }
+    }
+
+    /// Extends the stream to at least `n` samples by continuing its own RNG
+    /// and returns how many samples that drew (0 if it was long enough).
+    pub fn grow_to(&mut self, n: usize) -> usize {
+        if n <= self.samples.len() {
+            return 0;
+        }
+        let drawn = (n - self.samples.len()).next_multiple_of(2);
+        fill_normal(&mut self.rng, drawn, &mut self.samples);
+        drawn
+    }
+
+    /// Every sample drawn so far.
+    pub fn samples(&self) -> &[f32] {
+        &self.samples
     }
 }
 
@@ -115,6 +155,32 @@ mod tests {
             assert_eq!(short.len(), n);
             for (i, (a, b)) in short.iter().zip(&pool).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "n={n}, sample {i}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn grown_streams_match_fresh_draws() {
+        // Odd, growing and shrinking request sequences: each request's
+        // prefix equals a fresh draw of that length, and the stream draws
+        // only up to its longest request (rounded up to a whole pair).
+        let sequences: [&[usize]; 4] =
+            [&[1, 2, 3, 64, 65], &[65, 1, 64, 3], &[7, 7, 31, 8, 101, 100], &[0, 2, 1, 5, 4]];
+        for seed in [0u64, 1, 0xD1CE, u64::MAX] {
+            for requests in sequences {
+                let mut stream = NormalStream::new(seed);
+                let mut drawn = 0;
+                for &n in requests {
+                    drawn += stream.grow_to(n);
+                    let mut fresh = Vec::new();
+                    fill_normal(&mut seeded(seed), n, &mut fresh);
+                    for (i, (a, b)) in fresh.iter().zip(stream.samples()).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}, n={n}, sample {i}");
+                    }
+                }
+                let longest = requests.iter().copied().max().unwrap_or(0);
+                assert_eq!(drawn, longest.next_multiple_of(2), "{requests:?}");
+                assert_eq!(stream.samples().len(), drawn);
             }
         }
     }

@@ -1,8 +1,8 @@
 //! The batched tail ops must be **bit-identical** to their serial reference
-//! loops: each stacked unit of `batch_norm2d_batch` (forward and backward),
-//! `linear_batch`, `linear_d_input_batch`, and `cross_entropy_batch` must
-//! reproduce a standalone call on that unit to the last bit. This is the
-//! contract that lets the Fisher probe scheduler run a whole shape class's
+//! loops: each stacked unit of `batch_norm2d_batch`, `linear_batch`,
+//! `linear_d_input_batch`, and `cross_entropy_batch` must reproduce a
+//! standalone call on that unit to the last bit. This is the contract that
+//! lets the Fisher probe scheduler run a whole shape class's
 //! BN/readout/backward tail as one wave without changing a single score
 //! (`fisher/tests/probe_tail_threads.rs` and `probe_batch_parity.rs` pin the
 //! end-to-end consequence).
@@ -10,9 +10,8 @@
 use proptest::prelude::*;
 
 use pte_tensor::ops::{
-    batch_norm2d, batch_norm2d_backward, batch_norm2d_backward_batch, batch_norm2d_batch,
-    cross_entropy, cross_entropy_batch, linear, linear_backward, linear_batch,
-    linear_d_input_batch,
+    batch_norm2d, batch_norm2d_batch, cross_entropy, cross_entropy_batch, linear, linear_backward,
+    linear_batch, linear_d_input_batch,
 };
 use pte_tensor::Tensor;
 
@@ -32,7 +31,7 @@ fn unit(t: &Tensor, u: usize, dims: &[usize]) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Stacked batch-norm forward + backward ≡ per-unit serial calls.
+    /// Stacked batch-norm forward ≡ per-unit serial calls.
     #[test]
     fn batch_norm_stack_matches_serial(
         units in 1usize..5,
@@ -43,26 +42,15 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let x = Tensor::randn(&[units, n, c, h, w], seed).map(|v| v * 2.5 - 0.4);
-        let d_out = Tensor::randn(&[units, n, c, h, w], seed ^ 0xA5A5);
         let gamma: Vec<f32> = (0..c).map(|i| 0.5 + i as f32 * 0.3).collect();
         let beta: Vec<f32> = (0..c).map(|i| i as f32 * 0.1 - 0.2).collect();
 
-        let (y, cache) = batch_norm2d_batch(&x, &gamma, &beta).unwrap();
-        let dx = batch_norm2d_backward_batch(&cache, &d_out).unwrap();
+        let y = batch_norm2d_batch(&x, &gamma, &beta).unwrap();
 
         let udims = [n, c, h, w];
         for u in 0..units {
-            let (want_y, want_cache) = batch_norm2d(&unit(&x, u, &udims), &gamma, &beta).unwrap();
-            let want_dx =
-                batch_norm2d_backward(&want_cache, &unit(&d_out, u, &udims)).unwrap();
+            let (want_y, _) = batch_norm2d(&unit(&x, u, &udims), &gamma, &beta).unwrap();
             assert_bits(unit(&y, u, &udims).as_slice(), want_y.as_slice(), "bn forward");
-            assert_bits(
-                unit(&cache.x_hat, u, &udims).as_slice(),
-                want_cache.x_hat.as_slice(),
-                "bn x_hat",
-            );
-            assert_bits(&cache.std[u * c..(u + 1) * c], &want_cache.std, "bn std");
-            assert_bits(unit(&dx, u, &udims).as_slice(), want_dx.as_slice(), "bn backward");
         }
     }
 
