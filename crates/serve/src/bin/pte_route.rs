@@ -37,68 +37,53 @@ fn usage() -> ! {
 
 /// Environment fallback for a numeric knob: used only when its flag is
 /// absent; unparseable values are ignored rather than fatal.
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 fn parse_shards(list: &str) -> Vec<String> {
     list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(str::to_string).collect()
 }
 
+/// Each flag's environment fallback, applied before the command line so a
+/// flag always wins.
+const ENV_FALLBACKS: [(&str, &str); 8] = [
+    ("--shards", "PTE_ROUTE_SHARDS"),
+    ("--replicas", "PTE_ROUTE_REPLICAS"),
+    ("--vnodes", "PTE_ROUTE_VNODES"),
+    ("--hedge-after-ms", "PTE_ROUTE_HEDGE_AFTER_MS"),
+    ("--probe-every-ms", "PTE_ROUTE_PROBE_EVERY_MS"),
+    ("--probe-timeout-ms", "PTE_ROUTE_PROBE_TIMEOUT_MS"),
+    ("--trip-after", "PTE_ROUTE_TRIP_AFTER"),
+    ("--cooloff-ms", "PTE_ROUTE_COOLOFF_MS"),
+];
+
+/// Applies one flag; `None` for an unknown flag or an unparseable value.
+fn apply(config: &mut RouterConfig, flag: &str, value: String) -> Option<()> {
+    let ms = || value.parse().ok().map(Duration::from_millis);
+    match flag {
+        "--addr" => config.addr = value,
+        "--shards" => config.shards = parse_shards(&value),
+        "--replicas" => config.replicas = value.parse().ok()?,
+        "--vnodes" => config.vnodes = value.parse().ok()?,
+        "--hedge-after-ms" => config.hedge_after = Some(ms()?).filter(|d| !d.is_zero()),
+        "--probe-every-ms" => config.probe_every = ms()?,
+        "--probe-timeout-ms" => config.probe_timeout = ms()?,
+        "--trip-after" => config.trip_after = value.parse().ok()?,
+        "--cooloff-ms" => config.cooloff = ms()?,
+        _ => return None,
+    }
+    Some(())
+}
+
 fn parse_args() -> RouterConfig {
     let mut config = RouterConfig { addr: "127.0.0.1:7465".into(), ..RouterConfig::default() };
-    if let Ok(list) = std::env::var("PTE_ROUTE_SHARDS") {
-        config.shards = parse_shards(&list);
-    }
-    if let Some(n) = env_u64("PTE_ROUTE_REPLICAS") {
-        config.replicas = n as usize;
-    }
-    if let Some(n) = env_u64("PTE_ROUTE_VNODES") {
-        config.vnodes = n as usize;
-    }
-    if let Some(ms) = env_u64("PTE_ROUTE_HEDGE_AFTER_MS") {
-        config.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
-    }
-    if let Some(ms) = env_u64("PTE_ROUTE_PROBE_EVERY_MS") {
-        config.probe_every = Duration::from_millis(ms);
-    }
-    if let Some(ms) = env_u64("PTE_ROUTE_PROBE_TIMEOUT_MS") {
-        config.probe_timeout = Duration::from_millis(ms);
-    }
-    if let Some(n) = env_u64("PTE_ROUTE_TRIP_AFTER") {
-        config.trip_after = n as u32;
-    }
-    if let Some(ms) = env_u64("PTE_ROUTE_COOLOFF_MS") {
-        config.cooloff = Duration::from_millis(ms);
+    for (flag, var) in ENV_FALLBACKS {
+        if let Ok(value) = std::env::var(var) {
+            // An unparseable environment value is ignored, not fatal.
+            let _ = apply(&mut config, flag, value);
+        }
     }
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--addr" => config.addr = value(),
-            "--shards" => config.shards = parse_shards(&value()),
-            "--replicas" => config.replicas = value().parse().unwrap_or_else(|_| usage()),
-            "--vnodes" => config.vnodes = value().parse().unwrap_or_else(|_| usage()),
-            "--hedge-after-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--probe-every-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.probe_every = Duration::from_millis(ms);
-            }
-            "--probe-timeout-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.probe_timeout = Duration::from_millis(ms);
-            }
-            "--trip-after" => config.trip_after = value().parse().unwrap_or_else(|_| usage()),
-            "--cooloff-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.cooloff = Duration::from_millis(ms);
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
+        let value = argv.next().unwrap_or_else(|| usage());
+        apply(&mut config, &flag, value).unwrap_or_else(|| usage());
     }
     if config.shards.is_empty() {
         eprintln!("pte-route: no shards given (--shards or PTE_ROUTE_SHARDS)");

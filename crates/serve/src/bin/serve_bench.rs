@@ -386,7 +386,6 @@ fn restart(codec: ClientCodec) {
 /// (`routed == forwarded + failovers + shed`) intact, asserted both
 /// in-process and over the router's own `stats` op.
 fn router_smoke(codec: ClientCodec) {
-    use pte_serve::json::fnv1a64;
     use pte_serve::retry::{RetryClient, RetryPolicy};
     use pte_serve::router::{route, HashRing, RouterConfig, ShardState};
     use std::time::Duration;
@@ -448,7 +447,7 @@ fn router_smoke(codec: ClientCodec) {
     // Kill the shard owning key 0 mid-run: at least that key must now be
     // served by its failover replica.
     let ring = HashRing::build(&addrs, VNODES);
-    let key0 = fnv1a64(bench_request(0).encode().expect("canonical request").as_bytes());
+    let (_, key0) = bench_request(0).canonical_key().expect("canonical request");
     let victim = ring.primary(key0);
     let handle = daemons[victim].take().expect("victim still up");
     handle.shutdown();

@@ -25,7 +25,7 @@ use std::time::Duration;
 use crate::codec::{CodecError, PlanPayload, SearchRequest};
 use crate::codec_bin::{self, kind, FrameReadError};
 use crate::fault::FaultyStream;
-use crate::json::{fnv1a64, Json};
+use crate::json::Json;
 
 /// The transport a [`Client`] runs over: any bidirectional byte stream with
 /// a settable read timeout. Production uses [`TcpStream`]; the chaos suite
@@ -295,8 +295,12 @@ impl Client {
         }
     }
 
-    /// Expects a `REPLY_OK` echoing the request kind (ping/shutdown acks).
-    fn frame_ack(&mut self, frame_kind: u8) -> ClientResult<()> {
+    /// Sends a ping/shutdown op; over binary frames the ack is a
+    /// `REPLY_OK` echoing the request kind.
+    fn ack(&mut self, op: &str, frame_kind: u8) -> ClientResult<()> {
+        if self.codec == ClientCodec::Json {
+            return self.op(&Json::obj(vec![("op", Json::Str(op.into()))])).map(|_| ());
+        }
         let (reply_kind, body) = self.frame_op(frame_kind, &[])?;
         if reply_kind != kind::REPLY_OK || body != [frame_kind] {
             return Err(ClientError::Protocol(format!(
@@ -319,8 +323,8 @@ impl Client {
         // Integrity check: the reply's key must be the content hash of the
         // request we actually sent (same check as the JSON path, on the
         // raw u64 the hex key renders).
-        let canonical = request.encode().map_err(|e| ClientError::Protocol(e.message))?;
-        let expected = fnv1a64(canonical.as_bytes());
+        let (_, expected) =
+            request.canonical_key().map_err(|e| ClientError::Protocol(e.message))?;
         if decoded.key != expected {
             return Err(ClientError::Protocol(format!(
                 "request key mismatch: canonical bytes hash to {expected:016x}, reply claims {:016x}",
@@ -344,17 +348,20 @@ impl Client {
         })
     }
 
-    /// Reads the stats document over binary frames: the reply body is the
-    /// same canonical JSON stats text the JSON codec serves.
-    fn stats_binary(&mut self) -> ClientResult<Json> {
-        let (reply_kind, body) = self.frame_op(kind::STATS, &[])?;
-        if reply_kind != kind::REPLY_STATS {
+    /// Reads the stats or metrics document. Over binary frames the reply
+    /// body is the same canonical JSON text the JSON codec serves.
+    fn document(&mut self, op: &str, frame_kind: u8, expected: u8) -> ClientResult<Json> {
+        if self.codec == ClientCodec::Json {
+            return self.op(&Json::obj(vec![("op", Json::Str(op.into()))]));
+        }
+        let (reply_kind, body) = self.frame_op(frame_kind, &[])?;
+        if reply_kind != expected {
             return Err(ClientError::Protocol(format!(
-                "expected stats reply, got kind 0x{reply_kind:02X}"
+                "expected {op} reply, got kind 0x{reply_kind:02X}"
             )));
         }
         let text = std::str::from_utf8(&body)
-            .map_err(|_| ClientError::Protocol("stats reply is not valid UTF-8".into()))?;
+            .map_err(|_| ClientError::Protocol(format!("{op} reply is not valid UTF-8")))?;
         Ok(Json::parse(text)?)
     }
 
@@ -434,10 +441,7 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn stats(&mut self) -> ClientResult<Json> {
-        match self.codec {
-            ClientCodec::Json => self.op(&Json::obj(vec![("op", Json::Str("stats".into()))])),
-            ClientCodec::Binary => self.stats_binary(),
-        }
+        self.document("stats", kind::STATS, kind::REPLY_STATS)
     }
 
     /// Reads the server's metrics document: the stats fields plus a
@@ -446,21 +450,7 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn metrics(&mut self) -> ClientResult<Json> {
-        match self.codec {
-            ClientCodec::Json => self.op(&Json::obj(vec![("op", Json::Str("metrics".into()))])),
-            ClientCodec::Binary => {
-                let (reply_kind, body) = self.frame_op(kind::METRICS, &[])?;
-                if reply_kind != kind::REPLY_METRICS {
-                    return Err(ClientError::Protocol(format!(
-                        "expected metrics reply, got kind 0x{reply_kind:02X}"
-                    )));
-                }
-                let text = std::str::from_utf8(&body).map_err(|_| {
-                    ClientError::Protocol("metrics reply is not valid UTF-8".into())
-                })?;
-                Ok(Json::parse(text)?)
-            }
-        }
+        self.document("metrics", kind::METRICS, kind::REPLY_METRICS)
     }
 
     /// Liveness check.
@@ -468,12 +458,7 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn ping(&mut self) -> ClientResult<()> {
-        match self.codec {
-            ClientCodec::Json => {
-                self.op(&Json::obj(vec![("op", Json::Str("ping".into()))])).map(|_| ())
-            }
-            ClientCodec::Binary => self.frame_ack(kind::PING),
-        }
+        self.ack("ping", kind::PING)
     }
 
     /// Asks the daemon to shut down.
@@ -481,11 +466,6 @@ impl Client {
     /// # Errors
     /// Transport failures.
     pub fn shutdown(&mut self) -> ClientResult<()> {
-        match self.codec {
-            ClientCodec::Json => {
-                self.op(&Json::obj(vec![("op", Json::Str("shutdown".into()))])).map(|_| ())
-            }
-            ClientCodec::Binary => self.frame_ack(kind::SHUTDOWN),
-        }
+        self.ack("shutdown", kind::SHUTDOWN)
     }
 }

@@ -596,9 +596,21 @@ impl SearchRequest {
     /// Propagates JSON and schema errors.
     pub fn parse_canonical(text: &str) -> CodecResult<(SearchRequest, String, String)> {
         let request = SearchRequest::from_json(&Json::parse(text)?)?;
-        let canonical = request.encode()?;
-        let key = request_key(&canonical);
-        Ok((request, canonical, key))
+        let (canonical, hash) = request.canonical_key()?;
+        Ok((request, canonical, format!("{hash:016x}")))
+    }
+
+    /// The request's canonical bytes and their FNV-1a 64 content hash: the
+    /// key a plan is cached under by the daemons and routed under by the
+    /// router, whatever wire format carried the request (the canonical
+    /// bytes are independent of field order, whitespace and codec).
+    ///
+    /// # Errors
+    /// As [`SearchRequest::encode`].
+    pub fn canonical_key(&self) -> CodecResult<(String, u64)> {
+        let canonical = self.encode()?;
+        let hash = fnv1a64(canonical.as_bytes());
+        Ok((canonical, hash))
     }
 }
 

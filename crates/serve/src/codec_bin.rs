@@ -852,10 +852,20 @@ pub fn write_frame(out: &mut impl Write, kind: u8, body: &[u8]) -> io::Result<()
 /// `Ok(Some((kind, body, consumed)))` once a whole frame is buffered.
 ///
 /// # Errors
+/// As [`frame_extent`].
+pub fn try_extract_frame(buf: &[u8]) -> CodecResult<Option<(u8, Vec<u8>, usize)>> {
+    Ok(frame_extent(buf)?.map(|(body, end)| (buf[body - 1], buf[body..end].to_vec(), end)))
+}
+
+/// Locates the frame at the front of an accumulation buffer without copying
+/// it: `Ok(Some((body_start, end)))` once it is whole (its kind byte sits at
+/// `body_start - 1`), `Ok(None)` while it is incomplete.
+///
+/// # Errors
 /// A declared length over [`MAX_FRAME_BYTES`], a zero-length frame, a
 /// malformed varint, or a wrong magic byte — all fatal for the connection
 /// (framing is lost).
-pub fn try_extract_frame(buf: &[u8]) -> CodecResult<Option<(u8, Vec<u8>, usize)>> {
+pub fn frame_extent(buf: &[u8]) -> CodecResult<Option<(usize, usize)>> {
     if buf.is_empty() {
         return Ok(None);
     }
@@ -886,12 +896,7 @@ pub fn try_extract_frame(buf: &[u8]) -> CodecResult<Option<(u8, Vec<u8>, usize)>
         return Err(CodecError::new(format!("frame length {len} exceeds 1 MiB cap")));
     }
     let end = cursor.checked_add(len).ok_or_else(|| CodecError::new("frame length overflow"))?;
-    if buf.len() < end {
-        return Ok(None);
-    }
-    let kind = buf[cursor];
-    let body = buf[cursor + 1..end].to_vec();
-    Ok(Some((kind, body, end)))
+    Ok((buf.len() >= end).then_some((cursor + 1, end)))
 }
 
 /// Frame-level read failure on the blocking client path.

@@ -53,6 +53,7 @@ pub mod retry;
 pub mod router;
 pub mod server;
 pub mod store;
+mod wire;
 pub mod workload;
 
 pub use cache::{CacheStats, CachedPlan, LeaderFailure, PlanCache};

@@ -60,68 +60,51 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Environment fallback for a millisecond knob: used only when its flag is
-/// absent; unparseable values are ignored rather than fatal.
-fn env_ms(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
+/// Environment fallbacks, applied before the command line so a flag always
+/// wins. Empty or unparseable values are ignored rather than fatal.
+const ENV_FALLBACKS: [(&str, &str); 4] = [
+    ("--idle-timeout-ms", "PTE_SERVE_IDLE_TIMEOUT_MS"),
+    ("--store", "PTE_SERVE_STORE"),
+    ("--metrics-every-ms", "PTE_SERVE_METRICS_EVERY_MS"),
+    ("--metrics-file", "PTE_SERVE_METRICS_FILE"),
+];
+
+/// Applies one flag; `None` for an unknown flag or an unparseable value.
+fn apply(args: &mut Args, flag: &str, value: String) -> Option<()> {
+    let config = &mut args.config;
+    let ms = || value.parse().ok().map(Duration::from_millis);
+    match flag {
+        "--addr" => config.addr = value,
+        "--workers" => config.workers = value.parse().ok()?,
+        "--cache-cap" => config.cache_capacity = value.parse().ok()?,
+        "--cache-shards" => config.cache_shards = value.parse().ok()?,
+        "--probe-cache-cap" => args.probe_cache_cap = Some(value.parse().ok()?),
+        "--max-pending" => config.max_pending_searches = value.parse().ok()?,
+        "--retry-after-ms" => config.retry_after_ms = value.parse().ok()?,
+        "--default-deadline-ms" => config.default_deadline_ms = value.parse().ok()?,
+        "--idle-timeout-ms" => config.idle_timeout = ms()?,
+        "--store" => config.store_path = Some(value.into()),
+        "--metrics-every-ms" => config.metrics_every = Some(ms()?).filter(|d| !d.is_zero()),
+        "--metrics-file" => config.metrics_path = Some(value.into()),
+        _ => return None,
+    }
+    Some(())
 }
 
 fn parse_args() -> Args {
-    let mut config = ServerConfig { addr: "127.0.0.1:7464".into(), ..ServerConfig::default() };
-    if let Some(ms) = env_ms("PTE_SERVE_IDLE_TIMEOUT_MS") {
-        config.idle_timeout = Duration::from_millis(ms);
-    }
-    if let Ok(path) = std::env::var("PTE_SERVE_STORE") {
-        if !path.is_empty() {
-            config.store_path = Some(path.into());
+    let config = ServerConfig { addr: "127.0.0.1:7464".into(), ..ServerConfig::default() };
+    let mut args = Args { config, probe_cache_cap: None };
+    for (flag, var) in ENV_FALLBACKS {
+        if let Some(value) = std::env::var(var).ok().filter(|v| !v.is_empty()) {
+            let _ = apply(&mut args, flag, value);
         }
     }
-    if let Some(ms) = env_ms("PTE_SERVE_METRICS_EVERY_MS") {
-        if ms > 0 {
-            config.metrics_every = Some(Duration::from_millis(ms));
-        }
-    }
-    if let Ok(path) = std::env::var("PTE_SERVE_METRICS_FILE") {
-        if !path.is_empty() {
-            config.metrics_path = Some(path.into());
-        }
-    }
-    let mut probe_cache_cap = None;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
-        let mut value = || argv.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--addr" => config.addr = value(),
-            "--workers" => config.workers = value().parse().unwrap_or_else(|_| usage()),
-            "--cache-cap" => config.cache_capacity = value().parse().unwrap_or_else(|_| usage()),
-            "--cache-shards" => config.cache_shards = value().parse().unwrap_or_else(|_| usage()),
-            "--probe-cache-cap" => {
-                probe_cache_cap = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
-            "--max-pending" => {
-                config.max_pending_searches = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--retry-after-ms" => {
-                config.retry_after_ms = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--default-deadline-ms" => {
-                config.default_deadline_ms = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--idle-timeout-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.idle_timeout = Duration::from_millis(ms);
-            }
-            "--store" => config.store_path = Some(value().into()),
-            "--metrics-every-ms" => {
-                let ms: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.metrics_every = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--metrics-file" => config.metrics_path = Some(value().into()),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
+        let value = argv.next().unwrap_or_else(|| usage());
+        apply(&mut args, &flag, value).unwrap_or_else(|| usage());
     }
-    Args { config, probe_cache_cap }
+    args
 }
 
 fn main() {

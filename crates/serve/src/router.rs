@@ -26,8 +26,9 @@
 //!   first-response-wins. The walk honours the request's `deadline_ms` as
 //!   a wall-clock failover budget, mirroring `RetryPolicy::budget`.
 //!
-//! The router speaks both wire codecs (auto-detected per connection from
-//! the first byte, exactly like the daemons), answers `ping` / `stats` /
+//! The router speaks both wire codecs through the daemons' own pipeline
+//! ([`crate::wire`]: the same extractor, decoder and error encoder, so its
+//! framing and error bytes are the daemons'), answers `ping` / `stats` /
 //! `metrics` / `shutdown` itself, and forwards `search` bytes verbatim.
 //! Its `stats` op exposes the router conservation law, asserted by the
 //! fleet chaos suite: **`routed == forwarded + failovers + shed`** — every
@@ -44,10 +45,10 @@ use std::time::{Duration, Instant};
 
 use pte_telemetry::{Counter, Gauge, Histogram};
 
-use crate::codec_bin::{self, kind, FRAME_MAGIC};
+use crate::client::Client;
 use crate::json::{fnv1a64, Json};
 use crate::poll::{PollFd, POLLIN};
-use crate::server::render_stats_prometheus;
+use crate::wire::{self, json_count, Inbox, Message, Op, Reply, Wire};
 
 // ---------------------------------------------------------------------------
 // Telemetry
@@ -591,46 +592,16 @@ fn probe_sweep(state: &Arc<RouterState>) {
 
 /// A single bounded ping over the JSON codec (one line out, one line back).
 fn ping_shard(addr: &str, timeout: Duration) -> bool {
-    let Ok(mut stream) = TcpStream::connect(addr) else { return false };
-    if stream.set_nodelay(true).is_err()
-        || stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1)))).is_err()
-    {
-        return false;
-    }
-    if stream.write_all(b"{\"op\":\"ping\"}\n").is_err() {
-        return false;
-    }
-    let mut buf = [0u8; 256];
-    let mut reply = Vec::new();
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return false,
-            Ok(n) => {
-                reply.extend_from_slice(&buf[..n]);
-                if reply.contains(&b'\n') {
-                    return reply.starts_with(b"{\"ok\":true");
-                }
-                if reply.len() > 1024 {
-                    return false;
-                }
-            }
-        }
-    }
+    let Ok(mut client) = Client::connect(addr) else { return false };
+    client.set_timeout(Some(timeout.max(Duration::from_millis(1)))).is_ok() && client.ping().is_ok()
 }
 
 // ---------------------------------------------------------------------------
 // Client handling
 // ---------------------------------------------------------------------------
 
-/// One parsed client message, codec-independent.
-enum ClientMsg {
-    Json(String),
-    Frame(u8, Vec<u8>),
-}
-
-/// Per-connection handler: detects the codec from the first byte (same
-/// contract as the daemons), extracts one message at a time, answers
-/// control ops locally, and forwards searches through the ring.
+/// Per-connection handler: cuts messages with the daemons' extractor,
+/// answers control ops locally, and forwards searches through the ring.
 fn handle_client(stream: TcpStream, state: &Arc<RouterState>, poll: Duration) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(poll));
@@ -646,27 +617,26 @@ fn client_loop(
     state: &Arc<RouterState>,
     backends: &mut HashMap<usize, Backend>,
 ) -> io::Result<()> {
-    const MAX_BUFFER: usize = 1 << 20;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut binary: Option<bool> = None;
+    let mut inbox = Inbox::default();
     let mut chunk = [0u8; 64 * 1024];
     loop {
-        // Drain every complete message already buffered.
-        while let Some(msg) = extract_message(&mut buf, &mut binary)? {
-            let reply = match msg {
-                ClientMsg::Json(line) => handle_json(&line, state, backends),
-                ClientMsg::Frame(frame_kind, body) => {
-                    handle_binary(frame_kind, &body, state, backends)
+        // Answer every complete message already buffered.
+        loop {
+            match inbox.next() {
+                Ok(Some(message)) => {
+                    let reply = respond(&message, state, backends);
+                    stream.write_all(&reply.encode(message.wire))?;
                 }
-            };
-            stream.write_all(&reply)?;
-        }
-        if buf.len() > MAX_BUFFER {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "client message too large"));
+                Ok(None) => break,
+                Err(error_reply) => {
+                    // Framing is lost: answer and close, as the daemons do.
+                    return stream.write_all(&error_reply);
+                }
+            }
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => inbox.push(&chunk[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -679,68 +649,35 @@ fn client_loop(
     }
 }
 
-/// Pulls one complete message off the front of `buf`, detecting the codec
-/// from the connection's first byte on first use.
-fn extract_message(buf: &mut Vec<u8>, binary: &mut Option<bool>) -> io::Result<Option<ClientMsg>> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    let is_binary = *binary.get_or_insert(buf[0] == FRAME_MAGIC);
-    if is_binary {
-        match codec_bin::try_extract_frame(buf) {
-            Ok(Some((frame_kind, body, used))) => {
-                buf.drain(..used);
-                Ok(Some(ClientMsg::Frame(frame_kind, body)))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.message)),
-        }
-    } else {
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let line: Vec<u8> = buf.drain(..=pos).collect();
-                let text = std::str::from_utf8(&line[..line.len() - 1])
-                    .map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "request is not valid UTF-8")
-                    })?
-                    .to_string();
-                Ok(Some(ClientMsg::Json(text)))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
 /// A pooled backend connection (sticky per handler thread, lazily opened,
 /// dropped on the first I/O failure).
 struct Backend {
     stream: TcpStream,
-    /// Reassembly buffer for reply bytes.
-    buf: Vec<u8>,
+    /// Reassembly of reply bytes, in the codec of the forwarded requests.
+    inbox: Inbox,
 }
 
 impl Backend {
-    fn connect(addr: &str) -> io::Result<Backend> {
+    fn connect(addr: &str, wire: Wire) -> io::Result<Backend> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Backend { stream, buf: Vec::new() })
+        Ok(Backend { stream, inbox: Inbox::speaking(wire) })
     }
 
     /// One strict request/reply round trip: write the raw message bytes,
     /// read exactly one reply message (a JSON line or a binary frame,
     /// matching the bytes we forwarded), and return the reply verbatim.
-    fn round_trip(
-        &mut self,
-        raw: &[u8],
-        is_binary: bool,
-        timeout: Option<Duration>,
-    ) -> io::Result<Vec<u8>> {
+    fn round_trip(&mut self, raw: &[u8], timeout: Option<Duration>) -> io::Result<Vec<u8>> {
         self.stream.set_read_timeout(timeout)?;
         self.stream.write_all(raw)?;
         let mut chunk = [0u8; 64 * 1024];
         loop {
-            if let Some(reply) = extract_reply(&mut self.buf, is_binary)? {
-                return Ok(reply);
+            match self.inbox.next() {
+                Ok(Some(reply)) => return Ok(reply.raw),
+                Ok(None) => {}
+                Err(_) => {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, "shard reply framing"))
+                }
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -749,32 +686,9 @@ impl Backend {
                         "shard closed mid-reply",
                     ))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.inbox.push(&chunk[..n]),
                 Err(e) => return Err(e),
             }
-        }
-    }
-}
-
-/// Pulls one complete reply message (raw bytes, newline/frame included)
-/// off a backend reassembly buffer.
-fn extract_reply(buf: &mut Vec<u8>, is_binary: bool) -> io::Result<Option<Vec<u8>>> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    if is_binary {
-        match codec_bin::try_extract_frame(buf) {
-            Ok(Some((frame_kind, body, used))) => {
-                buf.drain(..used);
-                Ok(Some(codec_bin::frame_bytes(frame_kind, &body)))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.message)),
-        }
-    } else {
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => Ok(Some(buf.drain(..=pos).collect())),
-            None => Ok(None),
         }
     }
 }
@@ -802,8 +716,7 @@ fn forward_search(
     state: &Arc<RouterState>,
     backends: &mut HashMap<usize, Backend>,
     key: u64,
-    raw: &[u8],
-    is_binary: bool,
+    message: &Message,
     deadline_ms: Option<u64>,
 ) -> Result<Vec<u8>, Shed> {
     let started = Instant::now();
@@ -825,7 +738,7 @@ fn forward_search(
     // Hedged path: race the first two candidates, first response wins.
     if let (Some(hedge_after), true) = (state.hedge_after, order.len() >= 2) {
         if let Some(result) =
-            forward_hedged(state, &candidates, &order, raw, is_binary, hedge_after, budget)
+            forward_hedged(state, &candidates, &order, message, hedge_after, budget)
         {
             return result;
         }
@@ -840,7 +753,7 @@ fn forward_search(
             SHED_TOTAL.inc();
             return Err(Shed::Deadline);
         }
-        match forward_once(state, backends, shard, raw, is_binary) {
+        match forward_once(state, backends, shard, message) {
             Ok(reply) => {
                 settle(state, &candidates, shard, started);
                 return Ok(reply);
@@ -881,16 +794,15 @@ fn forward_once(
     state: &Arc<RouterState>,
     backends: &mut HashMap<usize, Backend>,
     shard: usize,
-    raw: &[u8],
-    is_binary: bool,
+    message: &Message,
 ) -> io::Result<Vec<u8>> {
-    let addr = state.slots[shard].addr.clone();
+    let addr = &state.slots[shard].addr;
     let pooled = backends.contains_key(&shard);
     if !pooled {
-        backends.insert(shard, Backend::connect(&addr)?);
+        backends.insert(shard, Backend::connect(addr, message.wire)?);
     }
     let backend = backends.get_mut(&shard).expect("just inserted");
-    match backend.round_trip(raw, is_binary, None) {
+    match backend.round_trip(&message.raw, None) {
         Ok(reply) => Ok(reply),
         Err(e) => {
             backends.remove(&shard);
@@ -898,8 +810,8 @@ fn forward_once(
                 return Err(e);
             }
             // The pooled connection was stale; one fresh attempt.
-            let mut fresh = Backend::connect(&addr)?;
-            let reply = fresh.round_trip(raw, is_binary, None)?;
+            let mut fresh = Backend::connect(addr, message.wire)?;
+            let reply = fresh.round_trip(&message.raw, None)?;
             backends.insert(shard, fresh);
             Ok(reply)
         }
@@ -913,13 +825,11 @@ fn forward_once(
 ///
 /// Returns `None` when both racers failed at the transport level (caller
 /// falls back to the sequential walk over the remaining candidates).
-#[allow(clippy::too_many_arguments)]
 fn forward_hedged(
     state: &Arc<RouterState>,
     candidates: &[usize],
     order: &[usize],
-    raw: &[u8],
-    is_binary: bool,
+    message: &Message,
     hedge_after: Duration,
     budget: Option<Duration>,
 ) -> Option<Result<Vec<u8>, Shed>> {
@@ -928,13 +838,13 @@ fn forward_hedged(
     let spawn_attempt =
         |shard: usize, tx: std::sync::mpsc::Sender<(usize, io::Result<Vec<u8>>)>| {
             let addr = state.slots[shard].addr.clone();
-            let raw = raw.to_vec();
+            let (raw, wire) = (message.raw.clone(), message.wire);
             // Bound the racer's read so an abandoned attempt cannot pin its
             // thread forever: the budget when present, a generous cap otherwise.
             let cap = budget.unwrap_or(Duration::from_secs(120));
             std::thread::spawn(move || {
-                let result = Backend::connect(&addr)
-                    .and_then(|mut backend| backend.round_trip(&raw, is_binary, Some(cap)));
+                let result = Backend::connect(&addr, wire)
+                    .and_then(|mut backend| backend.round_trip(&raw, Some(cap)));
                 let _ = tx.send((shard, result));
             });
         };
@@ -992,151 +902,40 @@ fn remaining(started: Instant, budget: Option<Duration>) -> Duration {
 // Op dispatch
 // ---------------------------------------------------------------------------
 
-/// Dispatches one JSON line: control ops answered locally, searches
-/// forwarded. Returns the raw reply bytes (newline included).
-fn handle_json(
-    line: &str,
+/// Decodes and handles one client message: control ops answered locally,
+/// searches forwarded as the bytes the client sent, their replies relayed
+/// verbatim.
+fn respond(
+    message: &Message,
     state: &Arc<RouterState>,
     backends: &mut HashMap<usize, Backend>,
-) -> Vec<u8> {
+) -> Reply {
     state.requests.fetch_add(1, Ordering::Relaxed);
-    let doc = match Json::parse(line) {
-        Ok(doc) => doc,
-        Err(e) => return error_line(&e.message, false, None),
+    let search = match message.decode() {
+        Ok(Op::Search(search)) => search,
+        Ok(Op::Control(control)) => {
+            return wire::control(control, || stats_json(state), |_| {}, &state.stop)
+        }
+        Err(rejected) => return rejected.into(),
     };
-    match doc.get("op").and_then(Json::as_str) {
-        Some("search") => {
-            let Some(request_doc) = doc.get("request") else {
-                return error_line("search needs a `request` field", false, None);
-            };
-            let key = match search_key_json(request_doc) {
-                Ok(key) => key,
-                Err(message) => return error_line(&message, false, None),
-            };
-            let deadline_ms = doc.get("deadline_ms").and_then(Json::as_u64);
-            state.routed.fetch_add(1, Ordering::Relaxed);
-            ROUTED_TOTAL.inc();
-            let mut raw = Vec::with_capacity(line.len() + 1);
-            raw.extend_from_slice(line.as_bytes());
-            raw.push(b'\n');
-            match forward_search(state, backends, key, &raw, false, deadline_ms) {
-                Ok(reply) => reply,
-                Err(shed) => shed_line(shed),
-            }
-        }
-        Some("stats") => stats_line(state),
-        Some("metrics") => metrics_line(state),
-        Some("ping") => b"{\"ok\":true,\"op\":\"ping\"}\n".to_vec(),
-        Some("shutdown") => {
-            state.stop.store(true, Ordering::SeqCst);
-            b"{\"ok\":true,\"op\":\"shutdown\"}\n".to_vec()
-        }
-        Some(other) => error_line(&format!("unknown op `{other}`"), false, None),
-        None => error_line("missing `op` field", false, None),
+    // Routed under the key the daemons cache under, so one key maps one way
+    // through the ring whatever codec carried it.
+    let key = match search.request.canonical_key() {
+        Ok((_, key)) => key,
+        Err(e) => return Reply::error(e.to_string(), false, None),
+    };
+    state.routed.fetch_add(1, Ordering::Relaxed);
+    ROUTED_TOTAL.inc();
+    match forward_search(state, backends, key, message, search.deadline_ms) {
+        Ok(reply) => Reply::Relayed(reply),
+        Err(Shed::Exhausted) => Reply::error("no shard available", true, Some(250)),
+        Err(Shed::Deadline) => Reply::error("deadline", true, None),
     }
-}
-
-/// Dispatches one binary frame; op coverage mirrors [`handle_json`].
-fn handle_binary(
-    frame_kind: u8,
-    body: &[u8],
-    state: &Arc<RouterState>,
-    backends: &mut HashMap<usize, Backend>,
-) -> Vec<u8> {
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    match frame_kind {
-        kind::SEARCH => {
-            let (key, deadline_ms) = match codec_bin::decode_search_request(body) {
-                Ok((request, deadline_ms, _trace)) => match request.encode() {
-                    Ok(canonical) => (fnv1a64(canonical.as_bytes()), deadline_ms),
-                    Err(e) => return error_frame(&e.message, false, None),
-                },
-                Err(e) => return error_frame(&e.message, false, None),
-            };
-            state.routed.fetch_add(1, Ordering::Relaxed);
-            ROUTED_TOTAL.inc();
-            let raw = codec_bin::frame_bytes(frame_kind, body);
-            match forward_search(state, backends, key, &raw, true, deadline_ms) {
-                Ok(reply) => reply,
-                Err(shed) => shed_frame(shed),
-            }
-        }
-        kind::STATS => {
-            let mut text = stats_line(state);
-            text.pop(); // frame bodies carry the document without the newline
-            codec_bin::frame_bytes(kind::REPLY_STATS, &text)
-        }
-        kind::METRICS => {
-            let mut text = metrics_line(state);
-            text.pop();
-            codec_bin::frame_bytes(kind::REPLY_METRICS, &text)
-        }
-        kind::PING => codec_bin::frame_bytes(kind::REPLY_OK, &[kind::PING]),
-        kind::SHUTDOWN => {
-            state.stop.store(true, Ordering::SeqCst);
-            codec_bin::frame_bytes(kind::REPLY_OK, &[kind::SHUTDOWN])
-        }
-        other => error_frame(&format!("unknown frame kind 0x{other:02X}"), false, None),
-    }
-}
-
-/// The routing key for a JSON search: canonicalise the request subtree and
-/// hash it — identical to the key the daemons cache under, so one key maps
-/// one way through the ring whatever codec carried it.
-fn search_key_json(request_doc: &Json) -> Result<u64, String> {
-    let request =
-        crate::codec::SearchRequest::from_json(request_doc).map_err(|e| e.message.clone())?;
-    let canonical = request.encode().map_err(|e| e.message)?;
-    Ok(fnv1a64(canonical.as_bytes()))
-}
-
-fn shed_message(shed: &Shed) -> (&'static str, Option<u64>) {
-    match shed {
-        Shed::Exhausted => ("no shard available", Some(250)),
-        Shed::Deadline => ("deadline", None),
-    }
-}
-
-fn shed_line(shed: Shed) -> Vec<u8> {
-    let (message, hint) = shed_message(&shed);
-    error_line(message, true, hint)
-}
-
-fn shed_frame(shed: Shed) -> Vec<u8> {
-    let (message, hint) = shed_message(&shed);
-    error_frame(message, true, hint)
-}
-
-/// `{"ok":false,...}` line, wire-compatible with the daemons' envelope.
-fn error_line(message: &str, retryable: bool, retry_after_ms: Option<u64>) -> Vec<u8> {
-    let mut fields = vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(message.to_string())),
-        ("retryable", Json::Bool(retryable)),
-    ];
-    if let Some(hint) = retry_after_ms {
-        fields.push(("retry_after_ms", Json::Int(hint as i64)));
-    }
-    let mut line = Json::obj(fields).write().expect("error envelope has no floats").into_bytes();
-    line.push(b'\n');
-    line
-}
-
-/// `REPLY_ERROR` frame, wire-compatible with the daemons'.
-fn error_frame(message: &str, retryable: bool, retry_after_ms: Option<u64>) -> Vec<u8> {
-    codec_bin::frame_bytes(
-        kind::REPLY_ERROR,
-        &codec_bin::encode_error(message, retryable, retry_after_ms),
-    )
 }
 
 // ---------------------------------------------------------------------------
 // Stats / metrics
 // ---------------------------------------------------------------------------
-
-fn json_count(v: u64) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
 
 /// The router stats document: conservation-law counters, health-plane
 /// totals, and one entry per shard.
@@ -1177,28 +976,6 @@ fn stats_json(state: &Arc<RouterState>) -> Json {
         ("uptime_ms", Json::Float(state.started.elapsed().as_secs_f64() * 1e3)),
         ("shards", Json::Arr(shards)),
     ])
-}
-
-fn stats_line(state: &Arc<RouterState>) -> Vec<u8> {
-    let mut line = stats_json(state).write().expect("uptime is finite").into_bytes();
-    line.push(b'\n');
-    line
-}
-
-/// Stats plus the Prometheus text page (scalar leaves of the stats tree,
-/// prefixed `pte_`, then the process-wide registry — which carries the
-/// per-shard state gauges and latency histograms).
-fn metrics_line(state: &Arc<RouterState>) -> Vec<u8> {
-    let mut doc = stats_json(state);
-    let mut page = String::new();
-    render_stats_prometheus(&doc, &mut page);
-    pte_telemetry::global().render_prometheus(&mut page);
-    if let Json::Obj(pairs) = &mut doc {
-        pairs.push(("prometheus".to_string(), Json::Str(page)));
-    }
-    let mut line = doc.write().expect("uptime is finite").into_bytes();
-    line.push(b'\n');
-    line
 }
 
 #[cfg(test)]
@@ -1339,10 +1116,32 @@ mod tests {
 
     #[test]
     fn error_envelopes_match_the_daemon_wire_format() {
-        let line = error_line("no shard available", true, Some(250));
-        let doc = Json::parse(std::str::from_utf8(&line).unwrap().trim_end()).unwrap();
-        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(doc.get("retryable").and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("retry_after_ms").and_then(Json::as_u64), Some(250));
+        // A local rejection goes through the shared decoder and encoder, so
+        // it carries the daemon's bytes over both codecs.
+        let state = test_state(1, 3);
+        let mut backends = HashMap::new();
+        let cases: [(&[u8], Reply); 3] = [
+            (
+                b"{\"op\":\"search\",\"request\":{\"v\":1}}\n",
+                Reply::error("codec error: request: missing field `network`", false, None),
+            ),
+            (
+                b"{\"op\":\n",
+                Reply::error("json error: byte 6: unexpected end of input", false, None),
+            ),
+            (
+                &[0xB1, 0x02, 0x01, 0x04],
+                Reply::error("codec error: unknown search flags 4", false, None),
+            ),
+        ];
+        for (request, expected) in cases {
+            let mut inbox = Inbox::default();
+            inbox.push(request);
+            let message = inbox.next().ok().flatten().expect("one message");
+            let wire = message.wire;
+            let reply = respond(&message, &state, &mut backends).encode(wire);
+            assert_eq!(reply, expected.encode(wire));
+        }
+        assert_eq!(state.routed(), 0, "rejected requests are never routed");
     }
 }

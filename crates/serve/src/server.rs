@@ -10,8 +10,8 @@
 //!   with `{`): one request document per line, one response document per
 //!   line. Operations: `search` (optional op-level `deadline_ms` outside
 //!   the `request` subtree, so it can never change the canonical bytes or
-//!   the cache key), `stats`, `ping`, `shutdown`. Malformed lines get
-//!   `{"ok":false,...}` and the connection stays up.
+//!   the cache key), `stats`, `metrics`, `ping`, `shutdown`. Malformed
+//!   lines get `{"ok":false,...}` and the connection stays up.
 //! * **Binary frames** (first byte [`codec_bin::FRAME_MAGIC`]): the
 //!   length-prefixed frames of [`codec_bin`], carrying the same operations
 //!   with varint-packed bodies. Malformed frame *bodies* get a
@@ -21,10 +21,11 @@
 //!   answers one error frame and closes, the binary analogue of the JSON
 //!   1 MiB line-cap close.
 //!
-//! Both codecs decode to the same [`SearchRequest`] and canonicalise to the
-//! same bytes, so **one request key maps to one cache entry regardless of
-//! wire format** — a plan cached by a JSON client is a warm hit for a
-//! binary client and vice versa.
+//! Both codecs decode to the same [`Op`] ([`crate::wire`], shared with the
+//! router) and canonicalise to the same bytes, so **one request key maps to
+//! one cache entry regardless of wire format** — a plan cached by a JSON
+//! client is a warm hit for a binary client and vice versa. Nothing after
+//! decode knows which codec carried a request.
 //!
 //! ## Threading
 //!
@@ -89,13 +90,13 @@ use std::time::{Duration, Instant};
 use pte_core::search::CancelToken;
 use pte_telemetry::{Counter, Gauge, Histogram, Trace};
 
-use crate::cache::{CacheStats, CachedPlan, PlanCache};
+use crate::cache::{CacheStats, PlanCache};
 use crate::codec::{self, ErrorClass, SearchRequest};
-use crate::codec_bin::{self, kind};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::json::{fnv1a64, Json};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::store::PlanStore;
+use crate::wire::{self, json_count, Control, Inbox, Message, Op, Reply, SearchOp, Served, Wire};
 
 // ---------------------------------------------------------------------------
 // Telemetry handles
@@ -140,17 +141,17 @@ static REQ_JSON_US: LazyLock<Histogram> =
 static REQ_BINARY_US: LazyLock<Histogram> =
     LazyLock::new(|| pte_telemetry::global().histogram("pte_request_binary_us"));
 
-/// The per-op request-latency histogram, if the op has one (error paths
-/// and unknown ops do not).
-fn op_histogram(op: &str) -> Option<&'static Histogram> {
-    Some(match op {
-        "search" => &REQ_SEARCH_US,
-        "stats" => &REQ_STATS_US,
-        "metrics" => &REQ_METRICS_US,
-        "ping" => &REQ_PING_US,
-        "shutdown" => &REQ_SHUTDOWN_US,
-        _ => return None,
-    })
+impl Op {
+    /// The op's request-latency histogram.
+    fn histogram(&self) -> &'static Histogram {
+        match self {
+            Op::Search(_) => &REQ_SEARCH_US,
+            Op::Control(Control::Stats) => &REQ_STATS_US,
+            Op::Control(Control::Metrics) => &REQ_METRICS_US,
+            Op::Control(Control::Ping) => &REQ_PING_US,
+            Op::Control(Control::Shutdown) => &REQ_SHUTDOWN_US,
+        }
+    }
 }
 
 /// Eagerly registers every metric this daemon can emit — the server's own
@@ -441,13 +442,6 @@ fn wake(waker: &UnixStream) {
     let _ = (&*waker).write(&[1]);
 }
 
-/// Maximum accepted JSON request-line length. Custom networks are a few
-/// KiB; anything near this bound is hostile, and without a cap one
-/// newline-less client could grow the loop's buffer without limit. Binary
-/// frames carry their own identical bound ([`codec_bin::MAX_FRAME_BYTES`]),
-/// enforced from the declared length before the body arrives.
-const MAX_LINE_BYTES: usize = 1 << 20;
-
 /// The event loop's per-sweep read chunk.
 const READ_CHUNK: usize = 64 * 1024;
 
@@ -567,28 +561,15 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
 // Event loop
 // ---------------------------------------------------------------------------
 
-/// The wire codec a connection speaks, fixed by its first byte.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Codec {
-    Json,
-    Binary,
-}
-
-/// One message extracted from a connection's byte stream, handed to a
-/// worker. JSON lines travel as raw bytes: UTF-8 validation happens in the
-/// worker so a validation error is just another reply, not loop work.
-enum JobMessage {
-    JsonLine(Vec<u8>),
-    Frame { kind: u8, body: Vec<u8> },
-}
-
 /// A unit of work for the pool, addressed back to its connection slot.
 /// `epoch` guards slot reuse: a completion for a connection that closed
-/// (and whose slot now holds a newer one) is discarded.
+/// (and whose slot now holds a newer one) is discarded. Messages travel as
+/// raw bytes: decoding happens in the worker, so a malformed request is
+/// just another reply, not loop work.
 struct Job {
     slot: usize,
     epoch: u64,
-    message: JobMessage,
+    message: Message,
 }
 
 /// What a worker produced for a job.
@@ -610,12 +591,11 @@ struct Completion {
 /// One connection owned by the event loop.
 struct Connection {
     stream: TcpStream,
-    /// Accumulated inbound bytes not yet forming a complete message.
-    buf: Vec<u8>,
+    /// Inbound bytes not yet forming a complete message; fixes the
+    /// connection's codec from its first byte.
+    inbox: Inbox,
     /// Outbound bytes not yet accepted by the socket.
     out: Vec<u8>,
-    /// Set once the first byte arrives; sticky.
-    codec: Option<Codec>,
     /// A request is in flight; no further messages are extracted (and no
     /// reads are issued) until its reply is queued.
     busy: bool,
@@ -778,9 +758,8 @@ impl EventLoop {
                     self.next_epoch += 1;
                     let conn = Connection {
                         stream,
-                        buf: Vec::new(),
+                        inbox: Inbox::default(),
                         out: Vec::new(),
-                        codec: None,
                         busy: false,
                         // A client usually writes right after connecting:
                         // try the first read without waiting for a poll.
@@ -815,7 +794,11 @@ impl EventLoop {
         };
         match completion.outcome {
             Outcome::Reply(bytes) => {
-                current.out.extend_from_slice(&bytes);
+                if current.out.is_empty() {
+                    current.out = bytes;
+                } else {
+                    current.out.extend_from_slice(&bytes);
+                }
                 current.busy = false;
                 current.last_reply = Instant::now();
                 self.busy = self.busy.saturating_sub(1);
@@ -885,7 +868,7 @@ impl EventLoop {
                     return Pump::Close;
                 }
                 Ok(n) => {
-                    conn.buf.extend_from_slice(&scratch[..n]);
+                    conn.inbox.push(&scratch[..n]);
                     if n < scratch.len() {
                         conn.readable = false;
                     }
@@ -896,62 +879,22 @@ impl EventLoop {
             }
         }
         while !conn.busy {
-            let codec = match conn.codec {
-                Some(codec) => codec,
-                None => {
-                    let Some(&first) = conn.buf.first() else { break };
-                    let detected =
-                        if first == codec_bin::FRAME_MAGIC { Codec::Binary } else { Codec::Json };
-                    conn.codec = Some(detected);
-                    detected
+            match conn.inbox.next() {
+                Ok(Some(message)) => self.dispatch_job(index, conn, message),
+                Ok(None) => break, // incomplete message: wait for more bytes
+                Err(error_reply) => {
+                    // Framing is lost: answer and close.
+                    self.state.errors.fetch_add(1, Ordering::Relaxed);
+                    conn.out.extend_from_slice(&error_reply);
+                    conn.close_after_flush = true;
+                    break;
                 }
-            };
-            match codec {
-                Codec::Json => match conn.buf.iter().position(|&b| b == b'\n') {
-                    Some(newline) => {
-                        let line: Vec<u8> = conn.buf[..newline].to_vec();
-                        conn.buf.drain(..=newline);
-                        if line.iter().all(u8::is_ascii_whitespace) {
-                            continue; // blank keep-alive line: not a request
-                        }
-                        self.dispatch_job(index, conn, JobMessage::JsonLine(line));
-                    }
-                    None => {
-                        if conn.buf.len() > MAX_LINE_BYTES {
-                            let reply = error_line(&self.state, "request line exceeds 1 MiB");
-                            conn.out.extend_from_slice(reply.as_bytes());
-                            conn.out.push(b'\n');
-                            conn.close_after_flush = true;
-                        }
-                        break;
-                    }
-                },
-                Codec::Binary => match codec_bin::try_extract_frame(&conn.buf) {
-                    Ok(Some((frame_kind, body, consumed))) => {
-                        conn.buf.drain(..consumed);
-                        self.dispatch_job(
-                            index,
-                            conn,
-                            JobMessage::Frame { kind: frame_kind, body },
-                        );
-                    }
-                    Ok(None) => break, // incomplete frame: wait for more bytes
-                    Err(e) => {
-                        // Broken framing is unrecoverable: answer and close.
-                        self.state.errors.fetch_add(1, Ordering::Relaxed);
-                        let body = codec_bin::encode_error(&e.to_string(), false, None);
-                        conn.out
-                            .extend_from_slice(&codec_bin::frame_bytes(kind::REPLY_ERROR, &body));
-                        conn.close_after_flush = true;
-                        break;
-                    }
-                },
             }
         }
         Pump::Keep
     }
 
-    fn dispatch_job(&mut self, index: usize, conn: &mut Connection, message: JobMessage) {
+    fn dispatch_job(&mut self, index: usize, conn: &mut Connection, message: Message) {
         conn.busy = true;
         self.busy += 1;
         if self.job_tx.send(Job { slot: index, epoch: conn.epoch, message }).is_err() {
@@ -1013,246 +956,92 @@ fn worker_loop(
 /// run outside the shard lock, and the single-flight guard repairs its
 /// entry during the unwind), and all shared state is atomics or
 /// lock-per-touch.
-fn handle_job(message: JobMessage, state: &Arc<ServerState>) -> Outcome {
-    let started = Instant::now();
-    match message {
-        JobMessage::JsonLine(line) => {
-            let reply = match std::str::from_utf8(&line) {
-                Ok(text) => {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        dispatch(text.trim(), state)
-                    }));
-                    match outcome {
-                        Ok(Some(response)) => response,
-                        Ok(None) => return Outcome::Silent,
-                        Err(_) => {
-                            state.panics.fetch_add(1, Ordering::Relaxed);
-                            PANIC_TOTAL.inc();
-                            error_envelope(state, "internal panic", true, None)
-                        }
-                    }
-                }
-                Err(_) => error_line(state, "request line is not valid UTF-8"),
-            };
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            state.codec_json.fetch_add(1, Ordering::Relaxed);
-            REQ_JSON_US.record_duration_us(started.elapsed());
-            let mut bytes = reply.into_bytes();
-            bytes.push(b'\n');
-            Outcome::Reply(bytes)
-        }
-        JobMessage::Frame { kind: frame_kind, body } => {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dispatch_frame(frame_kind, &body, state)
-            }));
-            let frame = match outcome {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return Outcome::Silent,
-                Err(_) => {
-                    state.panics.fetch_add(1, Ordering::Relaxed);
-                    PANIC_TOTAL.inc();
-                    error_frame(state, "internal panic", true, None)
-                }
-            };
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            state.codec_binary.fetch_add(1, Ordering::Relaxed);
-            REQ_BINARY_US.record_duration_us(started.elapsed());
-            Outcome::Reply(frame)
-        }
-    }
-}
-
-/// Builds an error envelope with retry metadata.
-fn error_envelope(
-    state: &ServerState,
-    message: &str,
-    retryable: bool,
-    retry_after_ms: Option<u64>,
-) -> String {
-    state.errors.fetch_add(1, Ordering::Relaxed);
-    let mut fields = vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(message.to_string())),
-        ("retryable", Json::Bool(retryable)),
-    ];
-    if let Some(hint) = retry_after_ms {
-        fields.push(("retry_after_ms", Json::Int(hint as i64)));
-    }
-    Json::obj(fields).write().expect("error envelope has no floats")
-}
-
-/// Builds the plain (non-retryable) error envelope.
-fn error_line(state: &ServerState, message: &str) -> String {
-    error_envelope(state, message, false, None)
-}
-
-/// Builds a complete error reply frame (the binary `{"ok":false}`).
-fn error_frame(
-    state: &ServerState,
-    message: &str,
-    retryable: bool,
-    retry_after_ms: Option<u64>,
-) -> Vec<u8> {
-    state.errors.fetch_add(1, Ordering::Relaxed);
-    codec_bin::frame_bytes(
-        kind::REPLY_ERROR,
-        &codec_bin::encode_error(message, retryable, retry_after_ms),
-    )
-}
-
-/// Consults the fault hook and dispatches one JSON protocol line. `None`
-/// means "sever the connection without replying" (injected disconnect).
-fn dispatch(line: &str, state: &Arc<ServerState>) -> Option<String> {
-    if let Some(hook) = &state.fault_hook {
-        let index = state.request_seq.fetch_add(1, Ordering::Relaxed);
-        match hook(FaultPoint::Request { index }) {
-            FaultAction::None => {}
-            FaultAction::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
-            FaultAction::Disconnect => return None,
-            FaultAction::Panic => panic!("injected request fault (request {index})"),
-        }
-    }
-    Some(handle_line(line, state))
-}
-
-/// Consults the fault hook and dispatches one binary frame. The Request
-/// fault point sees one global ordinal stream across both codecs, so a
+///
+/// The fault hook sees one global request ordinal across both codecs, so a
 /// chaos script replays identically over either wire format.
-fn dispatch_frame(frame_kind: u8, body: &[u8], state: &Arc<ServerState>) -> Option<Vec<u8>> {
-    if let Some(hook) = &state.fault_hook {
-        let index = state.request_seq.fetch_add(1, Ordering::Relaxed);
-        match hook(FaultPoint::Request { index }) {
-            FaultAction::None => {}
-            FaultAction::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
-            FaultAction::Disconnect => return None,
-            FaultAction::Panic => panic!("injected request fault (request {index})"),
-        }
-    }
-    Some(handle_frame(frame_kind, body, state))
-}
-
-/// Dispatches one JSON protocol line.
-fn handle_line(line: &str, state: &Arc<ServerState>) -> String {
+fn handle_job(message: Message, state: &Arc<ServerState>) -> Outcome {
     let started = Instant::now();
-    let doc = match Json::parse(line) {
-        Ok(doc) => doc,
-        Err(e) => return error_line(state, &e.to_string()),
-    };
-    let op = match doc.get("op").and_then(Json::as_str) {
-        Some(op) => op,
-        None => return error_line(state, "missing `op` field"),
-    };
-    let response = match op {
-        "search" => {
-            let Some(request_doc) = doc.get("request") else {
-                return error_line(state, "search needs a `request` field");
-            };
-            let deadline_ms = match doc.get("deadline_ms") {
-                None => None,
-                Some(value) => match value.as_u64() {
-                    Some(ms) => Some(ms),
-                    None => return error_line(state, "deadline_ms must be a non-negative integer"),
-                },
-            };
-            // Op-level like `deadline_ms`: outside the `request` subtree,
-            // so a traced request canonicalises to the same bytes — and
-            // the same cache key — as an untraced one.
-            let trace = match doc.get("trace") {
-                None => false,
-                Some(value) => match value.as_bool() {
-                    Some(flag) => flag,
-                    None => return error_line(state, "trace must be a boolean"),
-                },
-            };
-            match handle_search(request_doc, deadline_ms, trace, state) {
-                Ok(response) => response,
-                Err(e) => {
-                    let (message, retryable) = failure_parts(state, &e);
-                    if retryable {
-                        error_envelope(state, &message, true, None)
-                    } else {
-                        error_line(state, &message)
-                    }
-                }
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if let Some(hook) = &state.fault_hook {
+            let index = state.request_seq.fetch_add(1, Ordering::Relaxed);
+            match hook(FaultPoint::Request { index }) {
+                FaultAction::None => {}
+                FaultAction::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
+                FaultAction::Disconnect => return None,
+                FaultAction::Panic => panic!("injected request fault (request {index})"),
             }
         }
-        "stats" => stats_line(state),
-        "metrics" => metrics_line(state),
-        "ping" => Json::obj(vec![("ok", Json::Bool(true)), ("op", Json::Str("ping".into()))])
-            .write()
-            .expect("ping envelope has no floats"),
-        "shutdown" => {
-            state.stop.store(true, Ordering::SeqCst);
-            Json::obj(vec![("ok", Json::Bool(true)), ("op", Json::Str("shutdown".into()))])
-                .write()
-                .expect("shutdown envelope has no floats")
+        Some(respond(&message, state))
+    }));
+    let reply = match outcome {
+        Ok(Some(reply)) => reply,
+        Ok(None) => return Outcome::Silent,
+        Err(_) => {
+            state.panics.fetch_add(1, Ordering::Relaxed);
+            PANIC_TOTAL.inc();
+            Reply::error("internal panic", true, None)
         }
-        other => return error_line(state, &format!("unknown op `{other}`")),
     };
-    if let Some(hist) = op_histogram(op) {
-        hist.record_duration_us(started.elapsed());
+    if reply.is_error() {
+        state.errors.fetch_add(1, Ordering::Relaxed);
     }
-    response
+    state.requests.fetch_add(1, Ordering::Relaxed);
+    let bytes = reply.encode(message.wire);
+    let (count, latency) = match message.wire {
+        Wire::Json => (&state.codec_json, &REQ_JSON_US),
+        Wire::Binary => (&state.codec_binary, &REQ_BINARY_US),
+    };
+    count.fetch_add(1, Ordering::Relaxed);
+    latency.record_duration_us(started.elapsed());
+    Outcome::Reply(bytes)
 }
 
-/// Dispatches one binary frame. Op coverage mirrors [`handle_line`]; the
-/// stats reply carries the canonical JSON stats text (stats are
-/// human-facing diagnostics — packing them buys nothing).
-fn handle_frame(frame_kind: u8, body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
+/// Decodes and handles one message, recording its op's latency. A search
+/// whose request fails to decode still counts as a search.
+fn respond(message: &Message, state: &Arc<ServerState>) -> Reply {
     let started = Instant::now();
-    let (op, frame) = match frame_kind {
-        kind::SEARCH => ("search", handle_search_frame(body, state)),
-        kind::STATS => {
-            ("stats", codec_bin::frame_bytes(kind::REPLY_STATS, stats_line(state).as_bytes()))
-        }
-        kind::METRICS => {
-            ("metrics", codec_bin::frame_bytes(kind::REPLY_METRICS, metrics_line(state).as_bytes()))
-        }
-        kind::PING => ("ping", codec_bin::frame_bytes(kind::REPLY_OK, &[kind::PING])),
-        kind::SHUTDOWN => {
-            state.stop.store(true, Ordering::SeqCst);
-            ("shutdown", codec_bin::frame_bytes(kind::REPLY_OK, &[kind::SHUTDOWN]))
-        }
-        other => {
-            return error_frame(state, &format!("unknown frame kind 0x{other:02X}"), false, None)
-        }
+    let (op_latency, reply) = match message.decode() {
+        Ok(op) => (Some(op.histogram()), handle(op, state, started)),
+        Err(rejected) => (rejected.search.then_some(&*REQ_SEARCH_US), rejected.into()),
     };
-    if let Some(hist) = op_histogram(op) {
-        hist.record_duration_us(started.elapsed());
+    if let Some(latency) = op_latency {
+        latency.record_duration_us(started.elapsed());
     }
-    frame
+    reply
 }
 
-/// Maps a search failure to its wire parts, counting deadline expiries.
-/// Shared by both codecs so their retryability verdicts cannot drift.
-fn failure_parts(state: &ServerState, e: &codec::CodecError) -> (String, bool) {
-    match e.class {
-        ErrorClass::Deadline => {
-            state.deadlines.fetch_add(1, Ordering::Relaxed);
-            DEADLINE_TOTAL.inc();
-            ("deadline".to_string(), true)
+fn handle(op: Op, state: &Arc<ServerState>, started: Instant) -> Reply {
+    match op {
+        Op::Search(search) => handle_search(search, state, started),
+        Op::Control(control) => {
+            wire::control(control, || stats_json(state), render_grammar_coverage, &state.stop)
         }
-        ErrorClass::Leader => (e.to_string(), true),
-        ErrorClass::Invalid => (e.to_string(), false),
     }
 }
 
-/// What a search produced, codec-independent: the payload's canonical
-/// bytes straight from the cache, plus the raw content-hash key (the JSON
-/// envelope renders it as 16 hex digits, the binary reply as a varint).
-struct ServedSearch {
-    key: u64,
-    hit: bool,
-    coalesced: bool,
-    payload: Arc<CachedPlan>,
-    /// Rendered span-tree JSON, present only when the request asked for a
-    /// trace. Never part of the payload: the payload bytes of a traced
-    /// reply are bit-identical to the untraced ones.
-    trace_json: Option<String>,
+/// Runs one search through the shared core. Failures map to their wire
+/// parts here, once for both codecs, so retryability verdicts cannot drift.
+fn handle_search(search: SearchOp, state: &Arc<ServerState>, started: Instant) -> Reply {
+    match run_search(&search.request, search.deadline_ms, search.trace, state) {
+        Ok(SearchVerdict::Served(mut served)) => {
+            served.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+            Reply::Served(served)
+        }
+        Ok(SearchVerdict::Shed) => Reply::error("overloaded", true, Some(state.retry_after_ms)),
+        Err(e) => match e.class {
+            ErrorClass::Deadline => {
+                state.deadlines.fetch_add(1, Ordering::Relaxed);
+                DEADLINE_TOTAL.inc();
+                Reply::error("deadline", true, None)
+            }
+            ErrorClass::Leader => Reply::error(e.to_string(), true, None),
+            ErrorClass::Invalid => Reply::error(e.to_string(), false, None),
+        },
+    }
 }
 
 enum SearchVerdict {
-    Served(ServedSearch),
+    Served(Served),
     Shed,
 }
 
@@ -1269,8 +1058,7 @@ fn run_search(
 ) -> codec::CodecResult<SearchVerdict> {
     // Re-encode canonically: the cache key is independent of the client's
     // field order, whitespace, and wire format.
-    let canonical = request.encode()?;
-    let hash = fnv1a64(canonical.as_bytes());
+    let (canonical, hash) = request.canonical_key()?;
 
     // Tracing installs on this worker thread only. The single-flight
     // leader runs its compute closure on the calling thread, so the
@@ -1304,11 +1092,12 @@ fn run_search_core(
     // Degraded-mode fast path: a ready entry answers without touching
     // admission, so hits keep flowing while cold searches are shed.
     if let Some(payload) = state.cache.peek(canonical, hash) {
-        return Ok(SearchVerdict::Served(ServedSearch {
+        return Ok(SearchVerdict::Served(Served {
             key: hash,
             hit: true,
             coalesced: false,
-            payload,
+            elapsed_ms: 0.0,
+            plan: payload,
             trace_json: None,
         }));
     }
@@ -1367,11 +1156,12 @@ fn run_search_core(
         }
     }
 
-    Ok(SearchVerdict::Served(ServedSearch {
+    Ok(SearchVerdict::Served(Served {
         key: hash,
         hit: fetched.hit,
         coalesced: fetched.coalesced,
-        payload: fetched.payload,
+        elapsed_ms: 0.0,
+        plan: fetched.payload,
         trace_json: None,
     }))
 }
@@ -1394,104 +1184,19 @@ fn trace_report_json(report: &pte_telemetry::TraceReport) -> Json {
     ])
 }
 
-/// Embeds the cached canonical payload bytes verbatim in a success
-/// envelope: the envelope is assembled around them, never re-encoded from a
-/// parse.
-fn search_envelope(
-    key: String,
-    hit: bool,
-    coalesced: bool,
-    started: Instant,
-    payload: &str,
-    trace_json: Option<&str>,
-) -> codec::CodecResult<String> {
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let envelope_head = Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("request_key", Json::Str(key)),
-        ("cache", Json::obj(vec![("hit", Json::Bool(hit)), ("coalesced", Json::Bool(coalesced))])),
-        ("elapsed_ms", Json::Float(elapsed_ms)),
-    ])
-    .write()?;
-    let mut response = envelope_head;
-    response.pop(); // strip the closing `}`
-    if let Some(trace) = trace_json {
-        // Spliced next to `elapsed_ms`, never inside `payload`: the
-        // payload bytes stay verbatim whether or not the request traced.
-        response.push_str(",\"trace\":");
-        response.push_str(trace);
-    }
-    response.push_str(",\"payload\":");
-    response.push_str(payload);
-    response.push('}');
-    Ok(response)
+/// Saturating `Duration` → whole milliseconds. `as_millis` is `u128`; a
+/// plain `as u64` silently wraps for absurd-but-accepted configurations
+/// (e.g. an idle timeout of `u64::MAX` seconds), so out-of-range values pin
+/// to `u64::MAX` instead.
+fn saturating_millis(d: Duration) -> u64 {
+    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Runs one JSON search request through the shared core and assembles the
-/// envelope.
-fn handle_search(
-    request_doc: &Json,
-    deadline_ms: Option<u64>,
-    trace: bool,
-    state: &Arc<ServerState>,
-) -> codec::CodecResult<String> {
-    let start = Instant::now();
-    // Decode straight from the already-parsed subtree (no re-parse).
-    let request = SearchRequest::from_json(request_doc)?;
-    match run_search(&request, deadline_ms, trace, state)? {
-        SearchVerdict::Shed => {
-            Ok(error_envelope(state, "overloaded", true, Some(state.retry_after_ms)))
-        }
-        SearchVerdict::Served(served) => search_envelope(
-            format!("{:016x}", served.key),
-            served.hit,
-            served.coalesced,
-            start,
-            served.payload.json(),
-            served.trace_json.as_deref(),
-        ),
-    }
-}
-
-/// Runs one binary search request through the shared core and assembles
-/// the reply frame. The reply's payload is the cached canonical bytes
-/// re-expressed in the binary codec — an exact round trip (raw f64 bits,
-/// canonical-form step tokens), so a binary client's re-encoded canonical
-/// bytes are bit-identical to what a JSON client receives. The packing is
-/// done once per cache entry ([`CachedPlan::packed`]) and copied after.
-fn handle_search_frame(body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
-    let start = Instant::now();
-    let (request, deadline_ms, trace) = match codec_bin::decode_search_request(body) {
-        Ok(parts) => parts,
-        Err(e) => return error_frame(state, &e.to_string(), false, None),
-    };
-    match run_search(&request, deadline_ms, trace, state) {
-        Ok(SearchVerdict::Shed) => {
-            error_frame(state, "overloaded", true, Some(state.retry_after_ms))
-        }
-        Ok(SearchVerdict::Served(served)) => match served.payload.packed() {
-            Ok(payload_body) => {
-                let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-                let reply = codec_bin::encode_search_reply(
-                    served.key,
-                    served.hit,
-                    served.coalesced,
-                    elapsed_ms,
-                    payload_body,
-                    served.trace_json.as_deref(),
-                );
-                codec_bin::frame_bytes(kind::REPLY_SEARCH, &reply)
-            }
-            Err(e) => error_frame(state, &e.to_string(), false, None),
-        },
-        Err(e) => {
-            let (message, retryable) = failure_parts(state, &e);
-            error_frame(state, &message, retryable, None)
-        }
-    }
-}
-
-/// Builds the stats envelope (served as JSON text over both codecs).
+/// Builds the one shared snapshot document. `stats` serves it verbatim;
+/// `metrics` serves it with the Prometheus page appended, and derives that
+/// page's counter names from this same tree ([`wire::control`]) — one
+/// builder, so the two ops can never disagree on a counter's name or value
+/// source.
 ///
 /// The `probe_cache` section is the probe memo's health on a long-lived
 /// daemon: `misses` is probes actually executed (the compute an operator
@@ -1504,24 +1209,6 @@ fn handle_search_frame(body: &[u8], state: &Arc<ServerState>) -> Vec<u8> {
 /// from the wire: `hits + misses + coalesced + failures ==
 /// fetches + peek_hits`. Warm-start seeds sit outside the law (`seeded` is
 /// not a fetch; only the hits a seed later serves are counted).
-/// Saturating `Duration` → whole milliseconds. `as_millis` is `u128`; a
-/// plain `as u64` silently wraps for absurd-but-accepted configurations
-/// (e.g. an idle timeout of `u64::MAX` seconds), so out-of-range values pin
-/// to `u64::MAX` instead.
-fn saturating_millis(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
-/// A `u64` counter as a JSON integer, saturating at `i64::MAX` instead of
-/// wrapping negative.
-fn json_count(v: u64) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
-/// Builds the one shared snapshot document. `stats` serves it verbatim;
-/// `metrics` serves it with the Prometheus page appended, and derives that
-/// page's counter names from this same tree — one builder, so the two ops
-/// can never disagree on a counter's name or value source.
 fn stats_json(state: &Arc<ServerState>) -> Json {
     let cache = state.cache.stats();
     let probe = pte_core::fisher::proxy::probe_cache_stats();
@@ -1584,61 +1271,6 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
             ]),
         ),
     ])
-}
-
-fn stats_line(state: &Arc<ServerState>) -> String {
-    stats_json(state).write().expect("uptime is finite")
-}
-
-/// Builds the metrics envelope: the stats document plus a `prometheus`
-/// member holding the text exposition page. The page concatenates three
-/// sources: the stats tree itself (names derived from field paths, below),
-/// the process-wide telemetry registry (histograms, gauges, span
-/// latencies), and the grammar-coverage ledger.
-fn metrics_line(state: &Arc<ServerState>) -> String {
-    let mut doc = stats_json(state);
-    let mut page = String::new();
-    render_stats_prometheus(&doc, &mut page);
-    pte_telemetry::global().render_prometheus(&mut page);
-    render_grammar_coverage(&mut page);
-    if let Json::Obj(pairs) = &mut doc {
-        pairs.push(("prometheus".to_string(), Json::Str(page)));
-    }
-    doc.write().expect("uptime is finite")
-}
-
-/// Walks the stats document and emits one Prometheus line per numeric or
-/// boolean leaf, named by its field path (`cache.hits` →
-/// `pte_cache_hits`). Deriving the names from the served tree — instead of
-/// hand-writing them a second time — is what keeps the `stats` and
-/// `metrics` exposition structurally in sync.
-pub(crate) fn render_stats_prometheus(doc: &Json, out: &mut String) {
-    fn walk(value: &Json, path: &mut Vec<String>, out: &mut String) {
-        match value {
-            Json::Obj(pairs) => {
-                for (key, child) in pairs {
-                    if path.is_empty() && key == "ok" {
-                        continue; // envelope plumbing, not a metric
-                    }
-                    path.push(key.clone());
-                    walk(child, path, out);
-                    path.pop();
-                }
-            }
-            Json::Int(v) => emit(path, &v.to_string(), out),
-            Json::Float(v) => emit(path, &format!("{v}"), out),
-            Json::Bool(v) => emit(path, if *v { "1" } else { "0" }, out),
-            _ => {}
-        }
-    }
-    fn emit(path: &[String], value: &str, out: &mut String) {
-        out.push_str("pte_");
-        out.push_str(&path.join("_"));
-        out.push(' ');
-        out.push_str(value);
-        out.push('\n');
-    }
-    walk(doc, &mut Vec::new(), out);
 }
 
 /// Appends the grammar-coverage section: which automaton rules have ever

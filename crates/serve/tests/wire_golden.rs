@@ -577,3 +577,20 @@ fn router_binary_wire_bytes_match_the_fixtures() {
     fleet.join();
     check("router_binary", &rows);
 }
+
+#[test]
+fn router_answers_a_blank_line_then_a_search_with_exactly_one_reply() {
+    // A blank keep-alive line is not a request: a pipelining client that
+    // sends one must not find every later reply one behind.
+    let fleet = Fleet::start(true);
+    let mut conn = Conn::open(fleet.addr());
+    let mut pipelined = b"\n".to_vec();
+    pipelined.extend_from_slice(&json_search(&requests()[0], ""));
+    pipelined.extend_from_slice(b"{\"op\":\"ping\"}\n");
+    conn.send(&pipelined);
+    let search = render_line(conn.line());
+    assert!(search.starts_with("{\"ok\":true,\"request_key\""), "first reply: {search}");
+    assert_eq!(render_line(conn.line()), "{\"ok\":true,\"op\":\"ping\"}\\x0A");
+    drop(conn);
+    fleet.join();
+}
