@@ -957,8 +957,10 @@ pub fn read_frame(reader: &mut impl Read) -> Result<(u8, Vec<u8>), FrameReadErro
     if len == 0 || len > MAX_FRAME_BYTES {
         return Err(FrameReadError::Malformed(format!("frame length {len} out of bounds")));
     }
-    let mut frame = vec![0u8; len];
-    reader.read_exact(&mut frame).map_err(|e| {
+    // The kind byte, then the body straight into its own buffer.
+    let mut kind = [0u8; 1];
+    let mut body = vec![0u8; len - 1];
+    reader.read_exact(&mut kind).and_then(|()| reader.read_exact(&mut body)).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             FrameReadError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -968,9 +970,7 @@ pub fn read_frame(reader: &mut impl Read) -> Result<(u8, Vec<u8>), FrameReadErro
             FrameReadError::Io(e)
         }
     })?;
-    let kind = frame[0];
-    let body = frame.split_off(1);
-    Ok((kind, body))
+    Ok((kind[0], body))
 }
 
 #[cfg(test)]

@@ -673,7 +673,7 @@ impl Backend {
         let mut chunk = [0u8; 64 * 1024];
         loop {
             match self.inbox.next() {
-                Ok(Some(reply)) => return Ok(reply.raw),
+                Ok(Some(reply)) => return Ok(reply.into_raw()),
                 Ok(None) => {}
                 Err(_) => {
                     return Err(io::Error::new(io::ErrorKind::InvalidData, "shard reply framing"))
@@ -802,7 +802,7 @@ fn forward_once(
         backends.insert(shard, Backend::connect(addr, message.wire)?);
     }
     let backend = backends.get_mut(&shard).expect("just inserted");
-    match backend.round_trip(&message.raw, None) {
+    match backend.round_trip(message.raw(), None) {
         Ok(reply) => Ok(reply),
         Err(e) => {
             backends.remove(&shard);
@@ -811,7 +811,7 @@ fn forward_once(
             }
             // The pooled connection was stale; one fresh attempt.
             let mut fresh = Backend::connect(addr, message.wire)?;
-            let reply = fresh.round_trip(&message.raw, None)?;
+            let reply = fresh.round_trip(message.raw(), None)?;
             backends.insert(shard, fresh);
             Ok(reply)
         }
@@ -838,7 +838,7 @@ fn forward_hedged(
     let spawn_attempt =
         |shard: usize, tx: std::sync::mpsc::Sender<(usize, io::Result<Vec<u8>>)>| {
             let addr = state.slots[shard].addr.clone();
-            let (raw, wire) = (message.raw.clone(), message.wire);
+            let (raw, wire) = (message.raw().to_vec(), message.wire);
             // Bound the racer's read so an abandoned attempt cannot pin its
             // thread forever: the budget when present, a generous cap otherwise.
             let cap = budget.unwrap_or(Duration::from_secs(120));

@@ -44,7 +44,7 @@ pub(crate) struct Message {
     /// The codec that carried it.
     pub(crate) wire: Wire,
     /// A JSON line with its newline, or a whole frame.
-    pub(crate) raw: Vec<u8>,
+    raw: Vec<u8>,
     /// Where a frame's body starts; its kind byte sits just before.
     body: usize,
 }
@@ -192,6 +192,15 @@ impl From<Rejected> for Reply {
 }
 
 impl Message {
+    /// The message's bytes as they arrived.
+    pub(crate) fn raw(&self) -> &[u8] {
+        &self.raw
+    }
+
+    pub(crate) fn into_raw(self) -> Vec<u8> {
+        self.raw
+    }
+
     /// Decodes the message into the codec-free [`Op`].
     ///
     /// # Errors
@@ -503,18 +512,5 @@ mod tests {
         let raws: Vec<&[u8]> =
             cut.iter().map(|m| m.as_ref().expect("line").raw.as_slice()).collect();
         assert_eq!(raws, [&b"{\"op\":\"ping\"}\r\n"[..], &b"{\"op\":\"stats\"}\n"[..]]);
-    }
-
-    #[test]
-    fn lost_framing_answers_an_error_in_the_connection_codec() {
-        let mut inbox = Inbox::default();
-        inbox.push(&vec![b'a'; MAX_LINE_BYTES + 1]);
-        let expected = Reply::error("request line exceeds 1 MiB", false, None).encode(Wire::Json);
-        assert_eq!(inbox.next().err(), Some(expected));
-
-        let broken = messages(&[FRAME_MAGIC, 0x00]).remove(0).err().expect("broken framing");
-        let expected =
-            Reply::error("codec error: zero-length frame", false, None).encode(Wire::Binary);
-        assert_eq!(broken, expected);
     }
 }
