@@ -1,9 +1,10 @@
 //! Portable register-blocked micro-kernel over packed panels.
 //!
-//! This is the fallback the dispatcher selects when AVX2 is unavailable (or
-//! forced via [`super::GemmBackend::PackedScalar`]), **and** the edge kernel
-//! for ragged tiles on every path: it accepts any `mr ≤ MR`, `nr ≤ NR`, while
-//! [`super::kernel_avx2`] handles only full `MR×NR` tiles.
+//! This is the kernel the dispatcher selects when AVX2 is unavailable (or
+//! when [`super::GemmBackend::PackedScalar`] is forced), for full and ragged
+//! tiles alike: it accepts any `mr ≤ MR`, `nr ≤ NR`. The AVX2 path never
+//! calls it — [`super::kernel_avx2`] computes only full `MR×NR` tiles, and
+//! the dispatcher runs a ragged tile there on a full stack copy.
 //!
 //! ## The bit-identity contract
 //!

@@ -18,8 +18,8 @@
 //!   ├─► packed micro-kernel path                    [pack.rs]
 //!   │     runtime is_x86_feature_detected!("avx2")?
 //!   │     ├─► 8×8 AVX2 register-blocked tiles       [kernel_avx2.rs]
+//!   │     │   (ragged tiles too, through a stack tile)
 //!   │     └─► portable register-blocked tiles       [kernel_scalar.rs]
-//!   │         (also the edge kernel for ragged tiles on the AVX2 path)
 //!   └─► legacy cache-blocked loops (PR 1)           [gemm_*_blocked]
 //! ```
 //!
@@ -216,12 +216,21 @@ enum Layout {
     Nn,
     /// `C += A[m×k] · B[n×k]ᵀ`.
     Nt,
+    /// `C += A[m×k] · B[n×k]ᵀ` on the [`Acc::Seeded`] chain of `Nn`: `B`
+    /// is packed straight from its transposed storage.
+    NtSeeded,
     /// `C += A[k×m]ᵀ · B[k×n]`.
     Tn,
 }
 
 /// Runs one micro-tile on the fastest kernel the call may use. `simd` is only
 /// ever `true` when [`simd_kernel_available`] held at dispatch time.
+///
+/// A ragged tile on the SIMD path runs the full AVX2 kernel on a stack
+/// `MR×NR` tile seeded from `C`'s live lanes, and only the live lanes are
+/// copied back. Each live element keeps its exact chain — the same `C`
+/// start, the same products in the same order — in either [`Acc`] mode; the
+/// padding lanes multiply the panels' zero padding and are discarded.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn run_tile(
@@ -236,10 +245,22 @@ fn run_tile(
     acc_mode: Acc,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if simd && mr == MR && nr == NR {
-        // SAFETY: `simd` implies AVX2 was runtime-detected, and a full tile
-        // implies `c` covers `(MR-1)·ldc + NR` elements.
-        unsafe { kernel_avx2::micro_kernel(k, a_panel, b_panel, c, ldc, acc_mode) };
+    if simd {
+        if mr == MR && nr == NR {
+            // SAFETY: `simd` implies AVX2 was runtime-detected, and a full
+            // tile implies `c` covers `(MR-1)·ldc + NR` elements.
+            unsafe { kernel_avx2::micro_kernel(k, a_panel, b_panel, c, ldc, acc_mode) };
+        } else {
+            let mut tile = [0.0f32; MR * NR];
+            for r in 0..mr {
+                tile[r * NR..r * NR + nr].copy_from_slice(&c[r * ldc..r * ldc + nr]);
+            }
+            // SAFETY: as above; the stack tile is a full tile with ldc = NR.
+            unsafe { kernel_avx2::micro_kernel(k, a_panel, b_panel, &mut tile, NR, acc_mode) };
+            for r in 0..mr {
+                c[r * ldc..r * ldc + nr].copy_from_slice(&tile[r * NR..r * NR + nr]);
+            }
+        }
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -267,7 +288,9 @@ fn gemm_packed_with_b(
         let rows = c_band.len() / n;
         let mut packed_a = vec![0.0f32; packed_a_len(rows, k)];
         match layout {
-            Layout::Nn | Layout::Nt => pack_a(rows, k, &a[i0 * k..], k, &mut packed_a),
+            Layout::Nn | Layout::Nt | Layout::NtSeeded => {
+                pack_a(rows, k, &a[i0 * k..], k, &mut packed_a)
+            }
             Layout::Tn => pack_a_t(rows, k, a, m, i0, &mut packed_a),
         }
         for jp in 0..n.div_ceil(NR) {
@@ -298,7 +321,7 @@ fn gemm_packed(
     let mut packed_b = vec![0.0f32; packed_b_len(k, n)];
     match layout {
         Layout::Nn | Layout::Tn => pack_b(k, n, b, n, &mut packed_b),
-        Layout::Nt => pack_b_t(k, n, b, &mut packed_b),
+        Layout::Nt | Layout::NtSeeded => pack_b_t(k, n, b, &mut packed_b),
     }
     gemm_packed_with_b(layout, m, k, n, a, &packed_b, c, simd);
 }
@@ -360,6 +383,39 @@ pub fn gemm_nt_with(
         GemmBackend::Blocked => gemm_nt_blocked(m, k, n, a, b, c),
         concrete => {
             gemm_packed(Layout::Nt, m, k, n, a, b, c, concrete == GemmBackend::PackedSimd);
+        }
+    }
+}
+
+/// `C[m×n] += A[m×k] · B[n×k]ᵀ` with [`gemm_nn`]'s accumulation chain:
+/// each element starts from its current `C` value and adds the products in
+/// ascending `p` order, unfused — bit for bit `gemm_nn` over the transposed
+/// `B`, without materialising the transpose on the packed path (which packs
+/// `B`'s panels straight from `bt`). [`gemm_nt`] instead adds a fresh dot
+/// product to `C` once.
+///
+/// # Panics
+/// Panics if a slice is shorter than its matrix dimensions require.
+pub fn gemm_nt_seeded(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32], c: &mut [f32]) {
+    assert!(
+        a.len() >= m * k && bt.len() >= n * k && c.len() >= m * n,
+        "gemm_nt_seeded: slice too short"
+    );
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    match backend_for(GemmBackend::Auto, m, k, n) {
+        GemmBackend::Blocked => {
+            let mut b = vec![0.0f32; k * n];
+            for (j, row) in bt.chunks_exact(k).take(n).enumerate() {
+                for (p, &v) in row.iter().enumerate() {
+                    b[p * n + j] = v;
+                }
+            }
+            gemm_nn_blocked(m, k, n, a, &b, c);
+        }
+        concrete => {
+            gemm_packed(Layout::NtSeeded, m, k, n, a, bt, c, concrete == GemmBackend::PackedSimd);
         }
     }
 }

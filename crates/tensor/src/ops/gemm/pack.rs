@@ -18,8 +18,9 @@
 //!
 //! Ragged edges (final panel narrower than [`NR`] / final micro-panel shorter
 //! than [`MR`]) are **zero-padded** to full width. The padding lanes are never
-//! stored back to `C` — edge tiles run through the size-aware scalar kernel —
-//! but keeping the layout uniform means every panel has the same stride and
+//! stored back to `C` — the scalar kernel skips them, and the AVX2 path
+//! computes a ragged tile on a stack copy and stores only its live lanes —
+//! and keeping the layout uniform means every panel has the same stride and
 //! the packers have no per-panel special cases to get wrong.
 //!
 //! Packing permutes memory, never arithmetic: each packed slot holds an exact

@@ -14,12 +14,13 @@
 //! multiply-then-add. [`super::gemm::gemm_nn`]'s `Acc::Seeded` contract is
 //! exactly that chain — accumulators start from the *current* `C` value and
 //! add `a·b` products in ascending `k` order, unfused, on every backend. So
-//! pre-filling `C` with the bias and running `gemm_nn` over a transposed
-//! weight reproduces the reference chain bit for bit; likewise a zero-filled
-//! `C` and the untransposed weight reproduce `linear_backward`'s `d_input`
-//! accumulation (ascending `o` order).
+//! pre-filling `C` with the bias and running that chain against the weight
+//! as `Bᵀ` ([`super::gemm::gemm_nt_seeded`]) reproduces the reference chain
+//! bit for bit; likewise a zero-filled `C` and the untransposed weight
+//! reproduce `linear_backward`'s `d_input` accumulation (ascending `o`
+//! order).
 
-use crate::ops::gemm::gemm_nn;
+use crate::ops::gemm::{gemm_nn, gemm_nt_seeded};
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Gradients produced by [`linear_backward`].
@@ -125,21 +126,14 @@ pub fn linear_backward(
 /// [`linear`]).
 pub fn linear_batch(x: &Tensor, weight: &Tensor, bias: &[f32]) -> Result<Tensor> {
     let (n, fin, fout) = check_linear(x, weight, bias)?;
-    // Transpose the weight once: gemm_nn wants B row-major [k×n] = [in×out].
-    let ws = weight.as_slice();
-    let mut wt = vec![0.0f32; fin * fout];
-    for o in 0..fout {
-        for i in 0..fin {
-            wt[i * fout + o] = ws[o * fin + i];
-        }
-    }
     // Seed C with the bias: the Seeded accumulation chain then reproduces
-    // `linear`'s `bias + Σ` ordering exactly.
+    // `linear`'s `bias + Σ` ordering exactly. The weight `[out×in]` is the
+    // transposed storage of B `[in×out]`, packed as it stands.
     let mut y = Tensor::zeros(&[n, fout]);
     for row in y.as_mut_slice().chunks_mut(fout) {
         row.copy_from_slice(bias);
     }
-    gemm_nn(n, fin, fout, x.as_slice(), &wt, y.as_mut_slice());
+    gemm_nt_seeded(n, fin, fout, x.as_slice(), weight.as_slice(), y.as_mut_slice());
     Ok(y)
 }
 

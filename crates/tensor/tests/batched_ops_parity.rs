@@ -28,6 +28,21 @@ fn unit(t: &Tensor, u: usize, dims: &[usize]) -> Tensor {
     Tensor::from_vec(dims, t.as_slice()[u * len..(u + 1) * len].to_vec()).expect("unit slice")
 }
 
+/// The probe readout's shape: ten classes over a 64-channel 8×8 activation,
+/// for eight stacked members' rows. Large enough for the packed path, with
+/// a ragged two-column panel; the bias is non-zero so the `bias + Σ` chain
+/// is pinned too.
+#[test]
+fn linear_batch_matches_reference_loop_at_readout_width() {
+    let (rows, fin, fout) = (64, 4096, 10);
+    let x = Tensor::randn(&[rows, fin], 61).map(|v| v.max(0.0));
+    let w = Tensor::randn(&[fout, fin], 62).map(|v| v * 0.05);
+    let b: Vec<f32> = (0..fout).map(|i| i as f32 * 0.13 - 0.6).collect();
+    let want = linear(&x, &w, &b).unwrap();
+    let got = linear_batch(&x, &w, &b).unwrap();
+    assert_bits(got.as_slice(), want.as_slice(), "linear forward at fout 10, fin 4096");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

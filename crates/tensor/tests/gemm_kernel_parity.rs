@@ -20,7 +20,8 @@
 use proptest::prelude::*;
 
 use pte_tensor::ops::gemm::{
-    gemm_nn_batch_with, gemm_nn_with, gemm_nt_with, gemm_tn_with, GemmBackend, GemmNnTask, MR, NR,
+    gemm_nn_batch_with, gemm_nn_with, gemm_nt_seeded, gemm_nt_with, gemm_tn_with, GemmBackend,
+    GemmNnTask, MR, NR,
 };
 use pte_tensor::Tensor;
 
@@ -122,6 +123,71 @@ fn all_backends_match_naive_on_tile_edge_shapes() {
                     let mut c = c0.clone();
                     gemm_tn_with(backend, m, k, n, &at, &b, &mut c);
                     assert_bits_eq(&c, &want_tn, &format!("tn {label}"));
+                }
+            }
+        }
+    }
+}
+
+/// Ragged tiles (`m` or `n` not a multiple of the tile) over a `C` seeded
+/// with `-0.0`, on every backend and layout. Half the `A` rows are signed
+/// zeros, so a chain that starts from the wrong zero (a stack tile seeded
+/// with `+0.0` instead of `C`'s lanes) changes the sign of the result.
+/// `gemm_nt_seeded` (the `Nn` chain over a transposed `B`) rides along,
+/// with `k` large enough for the packed path.
+#[test]
+fn ragged_tiles_keep_negative_zero_seeds() {
+    for m in [1, 3, MR + 1, 2 * MR + 5] {
+        for n in [1, 2, NR - 1, NR + 2, 2 * NR + 3] {
+            for k in [1, 4, 33, 400] {
+                let seed = (m * 101 + n * 11 + k) as u64;
+                let mut a = Tensor::randn(&[m, k], seed).into_vec();
+                for (i, row) in a.chunks_mut(k).enumerate() {
+                    if i % 2 == 0 {
+                        row.fill(if i % 4 == 0 { -0.0 } else { 0.0 });
+                    }
+                }
+                let b = Tensor::randn(&[k, n], seed ^ 0xA5A5).into_vec();
+                let mut bt = vec![0.0f32; n * k];
+                for p in 0..k {
+                    for j in 0..n {
+                        bt[j * k + p] = b[p * n + j];
+                    }
+                }
+                let mut at = vec![0.0f32; k * m];
+                for i in 0..m {
+                    for p in 0..k {
+                        at[p * m + i] = a[i * k + p];
+                    }
+                }
+                let c0 = vec![-0.0f32; m * n];
+                let mut want_nn = c0.clone();
+                for i in 0..m {
+                    for j in 0..n {
+                        for p in 0..k {
+                            want_nn[i * n + j] += a[i * k + p] * b[p * n + j];
+                        }
+                    }
+                }
+                let mut want_nt = c0.clone();
+                naive_nt(m, k, n, &a, &bt, &mut want_nt);
+
+                let mut c = c0.clone();
+                gemm_nt_seeded(m, k, n, &a, &bt, &mut c);
+                assert_bits_eq(&c, &want_nn, &format!("nt_seeded m={m} k={k} n={n}"));
+                for backend in BACKENDS {
+                    let label = format!("{backend:?} m={m} k={k} n={n}");
+                    let mut c = c0.clone();
+                    gemm_nn_with(backend, m, k, n, &a, &b, &mut c);
+                    assert_bits_eq(&c, &want_nn, &format!("nn {label}"));
+
+                    let mut c = c0.clone();
+                    gemm_nt_with(backend, m, k, n, &a, &bt, &mut c);
+                    assert_bits_eq(&c, &want_nt, &format!("nt {label}"));
+
+                    let mut c = c0.clone();
+                    gemm_tn_with(backend, m, k, n, &at, &b, &mut c);
+                    assert_bits_eq(&c, &want_nn, &format!("tn {label}"));
                 }
             }
         }
