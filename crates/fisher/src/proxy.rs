@@ -46,6 +46,7 @@ pub fn init_metrics() {
     std::sync::LazyLock::force(&MEMO_LOOKUP_US);
     std::sync::LazyLock::force(&WAVE_SIZE);
     std::sync::LazyLock::force(&NORMALS_DRAWN);
+    std::sync::LazyLock::force(&GEMM_MACS);
 }
 
 use crate::score::{layer_delta, layer_delta_nchw};
@@ -525,16 +526,48 @@ pub fn probe_wave(shapes: &[ConvShape], seed: u64) -> Vec<f64> {
 static NORMALS_DRAWN: std::sync::LazyLock<pte_telemetry::Counter> =
     std::sync::LazyLock::new(|| pte_telemetry::global().counter("pte_probe_normals_drawn_total"));
 
+/// Multiply–accumulates of the probe convolutions' GEMM waves. Like the
+/// other probe metrics it is observation-only.
+static GEMM_MACS: std::sync::LazyLock<pte_telemetry::Counter> =
+    std::sync::LazyLock::new(|| pte_telemetry::global().counter("pte_probe_gemm_macs_total"));
+
 /// The random draws every probe of one layer shares, keyed in a
 /// [`ProbeStreams`] by the layer's derived probe seed: per repeat one
 /// Kaiming weight stream and one readout stream — neither derivation
 /// involves the variant, so all of a layer's variants draw from the same six
 /// streams and differ only in length and scale — plus one minibatch per
-/// probe input width.
+/// probe input width and, per shape class, the products its ungrouped
+/// members share ([`SharedProducts`]).
 struct LayerStreams {
     weights: [NormalStream; PROBE_REPEATS],
     readouts: [NormalStream; PROBE_REPEATS],
     batches: HashMap<usize, Minibatch>,
+    products: HashMap<ClassGeometry, SharedProducts>,
+}
+
+/// A shape class's input geometry within its layer: the probe's
+/// `(c_in, kernel, stride, padding)`. Members that share it share the
+/// minibatch, the patch matrix and the conv output size.
+type ClassGeometry = (usize, usize, usize, usize);
+
+fn class_geometry(spec: &Conv2dSpec) -> ClassGeometry {
+    (spec.c_in, spec.kernel, spec.stride, spec.padding)
+}
+
+/// The conv products of a shape class's ungrouped (`groups == 1`) GEMM
+/// members, one `[rows, n·cols]` matrix per repeat.
+///
+/// Those members share `fan_in = c_in·k²`, so a member's Kaiming weights are
+/// the first `c_out` rows of one scaled stream. Every GEMM element is an
+/// ascending-`k`, unfused chain from a zeroed `C`, whatever the row count and
+/// however the rows are tiled, so the member's product is bit for bit the
+/// first `c_out` rows of the widest one. Like a [`NormalStream`], the
+/// matrices only grow — by rows, to the largest ungrouped `c_out` any probe
+/// has requested — and every member slices a row prefix.
+#[derive(Default)]
+struct SharedProducts {
+    rows: usize,
+    repeats: [Vec<f32>; PROBE_REPEATS],
 }
 
 /// What one wave needs of a layer's streams: the longest weight and readout
@@ -552,6 +585,7 @@ impl LayerStreams {
             weights: std::array::from_fn(|r| NormalStream::new(weight_stream(seed, r))),
             readouts: std::array::from_fn(|r| NormalStream::new(readout_stream(seed, r))),
             batches: HashMap::new(),
+            products: HashMap::new(),
         }
     }
 
@@ -583,15 +617,24 @@ impl LayerStreams {
     /// the repeat's stream scaled by the member's own `√(2/fan_in)` — bit for
     /// bit the tensor `Tensor::kaiming` draws alone.
     fn kaiming_into(&self, spec: &Conv2dSpec, r: usize, out: &mut [f32]) {
-        let fan_in: usize = spec.weight_dims().iter().skip(1).product::<usize>().max(1);
+        let fan_in = spec.weight_dims().iter().skip(1).product::<usize>();
+        self.kaiming_rows(fan_in, r, 0, out);
+    }
+
+    /// Writes rows `row0..` of repeat `r`'s Kaiming weights at `fan_in` into
+    /// `out` (as many rows as it holds): the stream's samples from
+    /// `row0·fan_in` on, scaled by `√(2/fan_in)`.
+    fn kaiming_rows(&self, fan_in: usize, r: usize, row0: usize, out: &mut [f32]) {
+        let fan_in = fan_in.max(1);
         let std = (2.0 / fan_in as f32).sqrt();
-        for (w, v) in out.iter_mut().zip(self.weights[r].samples()) {
+        for (w, v) in out.iter_mut().zip(&self.weights[r].samples()[row0 * fan_in..]) {
             *w = v * std;
         }
     }
 
     /// The per-member reference probe ([`probe_once`] per repeat) on this
-    /// layer's draws.
+    /// layer's draws: what a class falls back to when its stacked path
+    /// fails.
     fn probe_member(&self, m: &WaveMember, batch: &Minibatch) -> f64 {
         (0..PROBE_REPEATS)
             .map(|r| {
@@ -609,17 +652,22 @@ impl LayerStreams {
 
 /// A probe-stream scope: the random streams and minibatches of the layers
 /// its probes touch, each drawn once — at the longest length any probe has
-/// needed so far — and sliced by every later probe of the same layer.
+/// needed so far — and sliced by every later probe of the same layer, plus
+/// each shape class's shared ungrouped products ([`SharedProducts`]), grown
+/// the same way by rows.
 ///
 /// Streams grow by continuing their own RNG, and [`fill_normal`]'s prefix
 /// stability makes every slice bitwise equal to the draw the probe would
-/// have made alone, so a scope never changes a score: it only removes
-/// repeated Box–Muller and minibatch work. Each layer-class task of a search
-/// owns one through its `Evaluator`, dropped when the task returns, and the
-/// free functions ([`conv_shape_fisher`], [`batch_conv_shape_fisher`],
-/// [`probe_wave`]) use one per call. A wave keeps only the layers it
-/// touches, so a scope holds at most one wave's layers — in a class task,
-/// the class's one layer: six streams, under 1 MiB at the probe caps.
+/// have made alone; a product's row prefix is likewise bitwise the product
+/// the member would have computed alone. So a scope never changes a score:
+/// it only removes repeated Box–Muller, minibatch and GEMM work. Each
+/// layer-class task of a search owns one through its `Evaluator`, dropped
+/// when the task returns, and the free functions ([`conv_shape_fisher`],
+/// [`batch_conv_shape_fisher`], [`probe_wave`]) use one per call. A wave
+/// keeps only the layers it touches, so a scope holds at most one wave's
+/// layers — in a class task, the class's one layer: six streams under
+/// 1 MiB, and per shape class at most `3 × 64 × 512` product floats
+/// (384 KiB) at the probe caps.
 ///
 /// [`fill_normal`]: pte_tensor::rng::fill_normal
 #[derive(Default)]
@@ -730,42 +778,37 @@ impl ProbeStreams {
     /// prefix any of its members needs, and each `(c_in, layer)` minibatch
     /// is built once — later waves through the same scope slice them again.
     ///
-    /// Per class, the minibatch is lowered once ([`im2col_batch`]); every
-    /// member × group convolution of a repeat then runs in one wide
-    /// multi-image GEMM wave against the shared patch matrix
-    /// ([`gemm_nn_batch`]), which amortises the lowering that the
-    /// per-candidate path re-does `PROXY_BATCH × PROBE_REPEATS` times per
-    /// candidate and raises the GEMMs' arithmetic intensity 8×. On the packed
-    /// micro-kernel path the batch executor additionally packs each class's
-    /// shared patch-matrix band once per wave (tasks are grouped by `B`
-    /// operand identity), so every member product of a repeat runs against
-    /// one pre-packed panel.
+    /// Per class, the minibatch is lowered once ([`im2col_batch`]). Every
+    /// ungrouped member slices a row prefix of the class's
+    /// [`SharedProducts`], which grow by one GEMM per repeat when a member
+    /// asks for more rows than any before it; every grouped member × group
+    /// convolution of a repeat runs in one wide multi-image GEMM wave
+    /// against the shared patch matrix ([`gemm_nn_batch`]), which packs the
+    /// patch-matrix band once per wave. Members whose probe `conv2d` would
+    /// not dispatch to the GEMM path (depthwise-style grouping, degenerate
+    /// widths) run that `conv2d` on the same draws instead.
     ///
-    /// The probe **tail** is batched too: members stack by post-truncation
-    /// geometry into [`TailClass`]es, and each class × repeat runs one
-    /// `batch_norm2d_batch` pass, one fused ReLU, one wide readout GEMM
-    /// against the repeat's shared head, one `cross_entropy_batch`, and one
-    /// batched readout backward ([`tail_wave`]). Members whose probe
-    /// `conv2d` would not dispatch to the GEMM path (depthwise-style
-    /// grouping, degenerate widths) fall back to the per-candidate kernel on
-    /// the same draws, so every score stays **bit-identical** to
+    /// The probe **tail** is batched for every member: members stack by
+    /// post-truncation geometry into [`TailClass`]es, and each class ×
+    /// repeat runs one `batch_norm2d_batch` pass, one fused ReLU, one wide
+    /// readout GEMM against the repeat's shared head, one
+    /// `cross_entropy_batch`, and one batched readout backward
+    /// ([`tail_wave`]). Every score stays **bit-identical** to
     /// [`conv_shape_fisher_unmemoised`].
     pub fn probe_wave(&self, shapes: &[ConvShape], seed: u64) -> Vec<f64> {
         let mut out = vec![0.0f64; shapes.len()];
         // Group by shape class, preserving first-occurrence order (scores
         // are pure, so grouping order only affects scheduling, never values).
-        type ClassKey = (u64, usize, usize, usize, usize);
         let mut classes: Vec<Vec<WaveMember>> = Vec::new();
-        let mut class_ix: HashMap<ClassKey, usize> = HashMap::new();
+        let mut class_ix: HashMap<(u64, ClassGeometry), usize> = HashMap::new();
         let mut needs: HashMap<u64, LayerNeed> = HashMap::new();
         for (idx, shape) in shapes.iter().enumerate() {
             // Degenerate shapes never reach a probe; their score is 0.0.
             let Some((spec, derived)) = probe_setup(shape, seed) else { continue };
-            let key = (derived, spec.c_in, spec.kernel, spec.stride, spec.padding);
             let need = needs.entry(derived).or_default();
             need.weight_len = need.weight_len.max(weight_len(&spec));
             need.readout_len = need.readout_len.max(readout_len(shape, &spec));
-            let slot = *class_ix.entry(key).or_insert_with(|| {
+            let slot = *class_ix.entry((derived, class_geometry(&spec))).or_insert_with(|| {
                 need.c_ins.push(spec.c_in);
                 classes.push(Vec::new());
                 classes.len() - 1
@@ -788,17 +831,33 @@ impl ProbeStreams {
             growing.into_par_iter().map(|(layer, s)| s.draw(layer, &needs[&layer])).collect();
         NORMALS_DRAWN.add(drawn.iter().sum::<usize>() as u64);
 
-        // Classes are independent: fan them out over the worker pool.
-        let layers = &*layers;
-        let scored: Vec<Vec<(usize, f64)>> = classes
-            .into_par_iter()
+        // Each class takes its own shared products out of its layer for the
+        // fan-out (the classes' keys are distinct), so the streams stay
+        // read-only while the classes run, and hands them back after.
+        let jobs: Vec<(Vec<WaveMember>, SharedProducts)> = classes
+            .into_iter()
             .map(|members| {
-                let layer = &layers[&members[0].seed];
-                probe_class(members, layer)
+                let (seed, geometry) = (members[0].seed, class_geometry(&members[0].spec));
+                let layer = layers.get_mut(&seed).expect("drawn layer");
+                let products = layer.products.remove(&geometry).unwrap_or_default();
+                (members, products)
             })
             .collect();
-        for (idx, score) in scored.into_iter().flatten() {
-            out[idx] = score;
+        let streams = &*layers;
+        let scored: Vec<_> = jobs
+            .into_par_iter()
+            .map(|(members, mut products)| {
+                let scores = probe_class(&members, &streams[&members[0].seed], &mut products);
+                (members[0].seed, class_geometry(&members[0].spec), products, scores)
+            })
+            .collect();
+        for (seed, geometry, products, scores) in scored {
+            if products.rows > 0 {
+                layers.get_mut(&seed).expect("drawn layer").products.insert(geometry, products);
+            }
+            for (idx, score) in scores {
+                out[idx] = score;
+            }
         }
         out
     }
@@ -815,52 +874,122 @@ struct WaveMember {
     seed: u64,
 }
 
-/// Executes one shape class on its layer's drawn streams: shared
-/// minibatch, one batched lowering, then per repeat one GEMM wave followed
-/// at once by that repeat's class-wide stacked tail waves (one per tail
-/// geometry).
-fn probe_class(members: Vec<WaveMember>, layer: &LayerStreams) -> Vec<(usize, f64)> {
+/// How a wave member's conv product is computed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ConvPath {
+    /// Ungrouped GEMM member: a row prefix of the class's [`SharedProducts`].
+    Shared,
+    /// Grouped GEMM member: its own products in the repeat's GEMM wave.
+    Own,
+    /// A member `conv2d` would not send to the GEMM path: `conv2d` itself,
+    /// scattered into the GEMM product layout.
+    Fallback,
+}
+
+impl ConvPath {
+    fn of(spec: &Conv2dSpec) -> Self {
+        if !uses_gemm_path(spec, PROXY_BATCH, PROXY_RESOLUTION, PROXY_RESOLUTION) {
+            ConvPath::Fallback
+        } else if spec.groups == 1 {
+            ConvPath::Shared
+        } else {
+            ConvPath::Own
+        }
+    }
+}
+
+/// Runs one wave of probe-convolution GEMMs, counting its multiply–adds.
+fn gemm_wave(tasks: Vec<GemmNnTask<'_>>) {
+    GEMM_MACS.add(tasks.iter().map(|t| (t.m * t.k * t.n) as u64).sum());
+    gemm_nn_batch(tasks);
+}
+
+/// Executes one shape class on its layer's drawn streams: shared minibatch,
+/// one batched lowering, the growth of the class's shared ungrouped
+/// products, then per repeat one GEMM wave for the grouped members and the
+/// fallback convolutions, followed at once by that repeat's class-wide
+/// stacked tail waves (one per tail geometry).
+fn probe_class(
+    members: &[WaveMember],
+    layer: &LayerStreams,
+    shared: &mut SharedProducts,
+) -> Vec<(usize, f64)> {
     let (h, w) = (PROXY_RESOLUTION, PROXY_RESOLUTION);
     let Some(batch) = layer.batches.get(&members[0].spec.c_in) else {
         return members.iter().map(|m| (m.idx, 0.0)).collect();
     };
+    // The error path: a failed convolution or tail wave (impossible for
+    // validated probe geometry, but the per-candidate path degrades to 0.0
+    // rather than panicking, so this path must too) re-scores the class
+    // with the per-member reference probe.
+    let reference = || members.iter().map(|m| (m.idx, layer.probe_member(m, batch))).collect();
 
-    let mut scored = Vec::with_capacity(members.len());
-    let (gemm_members, fallback): (Vec<&WaveMember>, Vec<&WaveMember>) =
-        members.iter().partition(|m| uses_gemm_path(&m.spec, PROXY_BATCH, h, w));
-
-    // Members the conv2d dispatcher would run naively (tiny widths,
-    // depthwise-style grouping) probe exactly like the per-candidate path,
-    // sharing only the minibatch and the draws.
-    for m in fallback {
-        scored.push((m.idx, layer.probe_member(m, batch)));
-    }
-    if gemm_members.is_empty() {
-        return scored;
-    }
+    // Members share (c_in, kernel, stride, padding), hence the patch
+    // matrix and the conv output geometry.
+    let spec = &members[0].spec;
+    let (oh, ow) = spec.output_hw(h, w);
+    let (col_rows, cols) = col_dims(spec, h, w);
+    let batch_cols = PROXY_BATCH * cols;
+    let paths: Vec<ConvPath> = members.iter().map(|m| ConvPath::of(&m.spec)).collect();
+    let shared_rows = members
+        .iter()
+        .zip(&paths)
+        .filter(|(_, &path)| path == ConvPath::Shared)
+        .map(|(m, _)| m.spec.c_out)
+        .max()
+        .unwrap_or(0);
+    let grow = shared_rows.saturating_sub(shared.rows);
 
     // One lowering for the whole class: the wide patch matrix every GEMM
     // below multiplies against.
-    let (col_rows, cols) = col_dims(&gemm_members[0].spec, h, w);
-    let batch_cols = PROXY_BATCH * cols;
-    let mut col = vec![0.0f32; col_rows * batch_cols];
-    im2col_batch(batch.images.as_slice(), &gemm_members[0].spec, h, w, PROXY_BATCH, &mut col);
+    let mut col = Vec::new();
+    if grow > 0 || paths.contains(&ConvPath::Own) {
+        col = vec![0.0f32; col_rows * batch_cols];
+        im2col_batch(batch.images.as_slice(), spec, h, w, PROXY_BATCH, &mut col);
+    }
+
+    // Grow the shared products to this wave's widest ungrouped member: the
+    // missing rows' weights are the next rows of each repeat's stream, and
+    // their products the next rows of each repeat's matrix.
+    if grow > 0 {
+        let (fan_in, row0) = (col_rows, shared.rows);
+        let weights: Vec<Vec<f32>> = (0..PROBE_REPEATS)
+            .map(|r| {
+                let mut wt = vec![0.0f32; grow * fan_in];
+                layer.kaiming_rows(fan_in, r, row0, &mut wt);
+                wt
+            })
+            .collect();
+        let mut tasks = Vec::with_capacity(PROBE_REPEATS);
+        for (product, wt) in shared.repeats.iter_mut().zip(&weights) {
+            product.resize(shared_rows * batch_cols, 0.0);
+            tasks.push(GemmNnTask {
+                m: grow,
+                k: fan_in,
+                n: batch_cols,
+                a: wt,
+                b: &col,
+                c: &mut product[row0 * batch_cols..],
+            });
+        }
+        gemm_wave(tasks);
+        shared.rows = shared_rows;
+    }
 
     // Tail classes. Everything after the convolution runs as stacked waves.
-    // Members of a class share (c_in, kernel, stride, padding) and hence the
-    // conv output geometry, but spatial bottlenecking and output width still
-    // differ per member, so units stack by **tail class** — the
-    // post-truncation geometry `(c_out, th, tw)`. Every member unit of a
-    // tail class is shape-homogeneous and shares the repeat's readout head
-    // (its derivation seed involves only the layer seed and the repeat; the
-    // tail class fixes the prefix length, `classes × features`), so the
-    // whole tail collapses to one BN pass, one fused ReLU, one wide readout
-    // GEMM, one batched cross-entropy and one batched readout backward per
-    // tail class × repeat.
-    let (oh, ow) = gemm_members[0].spec.output_hw(h, w);
+    // Members of a class share the conv output geometry, but spatial
+    // bottlenecking and output width still differ per member, so units
+    // stack by **tail class** — the post-truncation geometry
+    // `(c_out, th, tw)`. Every member unit of a tail class is
+    // shape-homogeneous and shares the repeat's readout head (its
+    // derivation seed involves only the layer seed and the repeat; the tail
+    // class fixes the prefix length, `classes × features`), so the whole
+    // tail collapses to one BN pass, one fused ReLU, one wide readout GEMM,
+    // one batched cross-entropy and one batched readout backward per tail
+    // class × repeat.
     let mut tail_ix: HashMap<(usize, usize, usize), usize> = HashMap::new();
     let mut tails: Vec<TailClass> = Vec::new();
-    for (mi, m) in gemm_members.iter().enumerate() {
+    for (mi, m) in members.iter().enumerate() {
         let (th, tw) = truncated_hw(&m.shape, (oh, ow));
         let key = (m.spec.c_out, th, tw);
         let slot = *tail_ix.entry(key).or_insert_with(|| {
@@ -870,32 +999,45 @@ fn probe_class(members: Vec<WaveMember>, layer: &LayerStreams) -> Vec<(usize, f6
         tails[slot].members.push(mi);
     }
 
-    // Repeats run one at a time: each member's weights are its repeat
-    // stream's prefix scaled by its own `√(2/fan_in)` (bit for bit
-    // `Tensor::kaiming`), the member × group products run as one GEMM wave
-    // against the shared patch matrix, and the repeat's tail waves consume
-    // the products at once — so a member needs one product scratch and one
-    // weight buffer, reused across repeats. Scores assemble per member as
-    // `Σ_r Δ_{m,r}·mix / R` in ascending `r` — the exact f64 chain the
-    // per-candidate caller sums. A tail-wave error (impossible for validated
-    // probe geometry, but the per-candidate path degrades to 0.0 rather than
-    // panicking, so this path must too) re-scores the class's GEMM members
-    // with the per-member reference probe.
+    // Repeats run one at a time: each grouped or fallback member's weights
+    // are its repeat stream's prefix scaled by its own `√(2/fan_in)` (bit
+    // for bit `Tensor::kaiming`), the grouped member × group products run
+    // as one GEMM wave against the shared patch matrix, and the repeat's
+    // tail waves consume the products at once — so such a member needs one
+    // product scratch and one weight buffer, reused across repeats. Scores
+    // assemble per member as `Σ_r Δ_{m,r}·mix / R` in ascending `r` — the
+    // exact f64 chain the per-candidate caller sums.
+    let own = |path: ConvPath, len: usize| {
+        if path == ConvPath::Shared {
+            Vec::new()
+        } else {
+            vec![0.0f32; len]
+        }
+    };
     let mut scratches: Vec<Vec<f32>> =
-        gemm_members.iter().map(|m| vec![0.0f32; m.spec.c_out * batch_cols]).collect();
+        members.iter().zip(&paths).map(|(m, &p)| own(p, m.spec.c_out * batch_cols)).collect();
     let mut weights: Vec<Vec<f32>> =
-        gemm_members.iter().map(|m| vec![0.0f32; weight_len(&m.spec)]).collect();
-    let mut totals = vec![0.0f64; gemm_members.len()];
+        members.iter().zip(&paths).map(|(m, &p)| own(p, weight_len(&m.spec))).collect();
+    let mut totals = vec![0.0f64; members.len()];
     for r in 0..PROBE_REPEATS {
         let mut tasks = Vec::new();
-        for ((m, wt), scratch) in gemm_members.iter().zip(&mut weights).zip(&mut scratches) {
+        let mut fallback = Vec::new();
+        for (((m, &path), wt), scratch) in
+            members.iter().zip(&paths).zip(&mut weights).zip(&mut scratches)
+        {
+            if path == ConvPath::Shared {
+                continue;
+            }
             layer.kaiming_into(&m.spec, r, wt);
+            if path == ConvPath::Fallback {
+                fallback.push((m, &*wt, scratch));
+                continue;
+            }
             // `gemm_nn_batch` accumulates into C: clear the last repeat's
             // product first.
             scratch.fill(0.0);
-            let spec = &m.spec;
-            let cog = spec.c_out_per_group();
-            let group_rows = spec.c_in_per_group() * spec.kernel * spec.kernel;
+            let cog = m.spec.c_out_per_group();
+            let group_rows = m.spec.c_in_per_group() * m.spec.kernel * m.spec.kernel;
             for (g, c_chunk) in scratch.chunks_mut(cog * batch_cols).enumerate() {
                 tasks.push(GemmNnTask {
                     m: cog,
@@ -907,28 +1049,50 @@ fn probe_class(members: Vec<WaveMember>, layer: &LayerStreams) -> Vec<(usize, f6
                 });
             }
         }
-        gemm_nn_batch(tasks);
+        gemm_wave(tasks);
+        for (m, wt, scratch) in fallback {
+            let Ok(weight) = Tensor::from_vec(&m.spec.weight_dims(), wt.to_vec()) else {
+                return reference();
+            };
+            let Ok(conv_out) = conv2d(&batch.images, &weight, &m.spec) else {
+                return reference();
+            };
+            scatter_nchw(conv_out.as_slice(), m.spec.c_out, cols, scratch);
+        }
 
+        let units: Vec<&[f32]> = members
+            .iter()
+            .zip(&paths)
+            .zip(&scratches)
+            .map(|((m, &path), scratch)| match path {
+                ConvPath::Shared => &shared.repeats[r][..m.spec.c_out * batch_cols],
+                _ => scratch.as_slice(),
+            })
+            .collect();
         let readout = layer.readouts[r].samples();
         for tail in &tails {
-            let wave = tail_wave(tail, &scratches, readout, &batch.labels, (cols, batch_cols, ow));
-            let Ok(deltas) = wave else {
-                scored.extend(gemm_members.iter().map(|m| (m.idx, layer.probe_member(m, batch))));
-                return scored;
-            };
+            let wave = tail_wave(tail, &units, readout, &batch.labels, (cols, batch_cols, ow));
+            let Ok(deltas) = wave else { return reference() };
             for (ui, &mi) in tail.members.iter().enumerate() {
-                totals[mi] += deltas[ui] * mixing_factor(&gemm_members[mi].shape);
+                totals[mi] += deltas[ui] * mixing_factor(&members[mi].shape);
             }
         }
     }
-    for (m, total) in gemm_members.iter().zip(totals) {
-        scored.push((m.idx, total / PROBE_REPEATS as f64));
+    members.iter().zip(totals).map(|(m, total)| (m.idx, total / PROBE_REPEATS as f64)).collect()
+}
+
+/// Scatters a `conv2d` output (`[n, c_out, oh, ow]`, `cols = oh·ow`) into the
+/// GEMM product layout `[c_out, n·cols]` the tail waves gather from.
+fn scatter_nchw(nchw: &[f32], c_out: usize, cols: usize, out: &mut [f32]) {
+    let batch_cols = PROXY_BATCH * cols;
+    for (plane, src) in nchw.chunks_exact(cols).enumerate() {
+        let (im, co) = (plane / c_out, plane % c_out);
+        out[co * batch_cols + im * cols..][..cols].copy_from_slice(src);
     }
-    scored
 }
 
 /// One post-truncation tail geometry within a shape class: the members (by
-/// `gemm_members` index) whose BN/readout/backward tails stack into one
+/// index into the class) whose BN/readout/backward tails stack into one
 /// wave.
 struct TailClass {
     c_out: usize,
@@ -949,9 +1113,9 @@ impl TailClass {
 /// each member's Fisher delta (Eq. 5, before the mixing factor),
 /// **bit-identical** to running [`probe_tail`] per member:
 ///
-/// 1. gather every member's GEMM product (`scratches[mi]`) into one
-///    `[M, n, c, th, tw]` tensor (the NCHW scatter and the spatial
-///    truncation fused into one strided copy);
+/// 1. gather every member's conv product (`units[mi]`, laid out
+///    `[c_out, n·cols]`) into one `[M, n, c, th, tw]` tensor (the NCHW
+///    scatter and the spatial truncation fused into one strided copy);
 /// 2. one [`batch_norm2d_batch`] pass (per-unit statistics, bit-identical
 ///    per unit), one fused [`relu`] over the whole stack;
 /// 3. one wide readout GEMM ([`linear_batch`]): all members' activation
@@ -963,7 +1127,7 @@ impl TailClass {
 ///    where the per-member tail reads it.
 fn tail_wave(
     tail: &TailClass,
-    scratches: &[Vec<f32>],
+    units: &[&[f32]],
     readout: &[f32],
     labels: &[usize],
     (cols, batch_cols, ow): (usize, usize, usize),
@@ -973,11 +1137,11 @@ fn tail_wave(
     let unit_len = PROXY_BATCH * c_out * th * tw;
     let features = tail.features();
 
-    // Stacked conv output: truncating strided gather straight from the GEMM
-    // scratches (layout `[c_out, n·cols]`) into unit-major NCHW.
+    // Stacked conv output: truncating strided gather straight from the
+    // products (layout `[c_out, n·cols]`) into unit-major NCHW.
     let mut data = vec![0.0f32; m_count * unit_len];
     for (ui, &mi) in tail.members.iter().enumerate() {
-        let scratch = &scratches[mi];
+        let scratch = units[mi];
         for im in 0..PROXY_BATCH {
             for co in 0..c_out {
                 let src_base = co * batch_cols + im * cols;
@@ -1142,6 +1306,55 @@ mod tests {
                 assert_eq!(stream.samples().len(), longest_r.next_multiple_of(2));
             }
             assert_eq!(layer.batches.len(), 2, "one minibatch per probe input width");
+        }
+    }
+
+    #[test]
+    fn ungrouped_members_slice_one_product_grown_to_the_widest() {
+        let seed = 0x9A0D;
+        let original = shape(32, 32, 3);
+        let bottleneck = |c_out: i64| {
+            let mut s = original;
+            (s.c_out, s.bottleneck) = (c_out, 32 / c_out);
+            s
+        };
+        let mut spatial = original;
+        (spatial.sb_h, spatial.sb_w) = (2, 2);
+        let mut sliced = original;
+        (sliced.c_in, sliced.in_bottleneck) = (16, 2);
+        let mut grouped = bottleneck(16);
+        grouped.groups = 2;
+        let variants =
+            [bottleneck(8), bottleneck(16), grouped, spatial, sliced, bottleneck(32), original];
+        let reference: Vec<u64> =
+            variants.iter().map(|s| conv_shape_fisher_unmemoised(s, seed).to_bits()).collect();
+
+        let growing: Vec<usize> = (0..variants.len()).collect();
+        let shrinking: Vec<usize> = growing.iter().rev().copied().collect();
+        for order in [growing, shrinking] {
+            let scope = ProbeStreams::default();
+            let mut widest: HashMap<ClassGeometry, usize> = HashMap::new();
+            for &i in &order {
+                let score = scope.probe_wave(&variants[i..=i], seed)[0];
+                assert_eq!(score.to_bits(), reference[i], "variant {i}");
+                let spec = probe_spec(&variants[i]);
+                if spec.groups == 1 {
+                    let rows = widest.entry(class_geometry(&spec)).or_default();
+                    *rows = (*rows).max(spec.c_out);
+                }
+                let layers = scope.layers.lock().unwrap();
+                let products = &layers.values().next().unwrap().products;
+                let cached: HashMap<ClassGeometry, usize> =
+                    products.iter().map(|(&g, p)| (g, p.rows)).collect();
+                assert_eq!(cached, widest, "after variant {i}");
+                for p in products.values() {
+                    let batch_cols = p.repeats[0].len() / p.rows;
+                    assert!(p.repeats.iter().all(|r| r.len() == p.rows * batch_cols));
+                }
+            }
+            let wave: Vec<u64> =
+                scope.probe_wave(&variants, seed).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(wave, reference);
         }
     }
 
