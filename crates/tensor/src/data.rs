@@ -126,10 +126,11 @@ impl SyntheticDataset {
     /// Samples a labelled minibatch of `n` images (deterministic in
     /// `(dataset seed, batch_seed)`).
     ///
-    /// Pixels are written in one row-major sweep with the per-plane pattern
-    /// constants hoisted out of the pixel loop — the per-pixel work is one
-    /// `sin`, one `cos` and one noise draw, which matters because Fisher
-    /// probing builds these batches inside the search hot path.
+    /// Pixels are written in one row-major sweep with the pattern hoisted
+    /// out of the pixel loop: the sine once per row and the cosine once per
+    /// column of each `(class, channel)` plane, so the per-pixel work is one
+    /// add and one noise draw, which matters because Fisher probing builds
+    /// these batches inside the search hot path.
     pub fn minibatch(&self, n: usize, batch_seed: u64) -> Minibatch {
         let mut rng = seeded(derive_seed(self.seed, batch_seed));
         let mut labels = Vec::with_capacity(n);
@@ -137,6 +138,7 @@ impl SyntheticDataset {
         let res = self.resolution;
         let inv_res = 1.0 / res as f32;
         let buf = images.as_mut_slice();
+        let mut col_terms = vec![0.0f32; res];
         let mut at = 0usize;
         for _ in 0..n {
             let class = rng.random_range(0..self.classes);
@@ -144,16 +146,19 @@ impl SyntheticDataset {
             let freq = 1.0 + (class % 4) as f32;
             for c in 0..self.channels {
                 // Identical values to `class_mode`, with the per-(class,
-                // channel) phase derived once instead of once per pixel.
+                // channel) phase and column terms derived once instead of
+                // once per pixel.
                 let phase = derive_seed(self.seed, class as u64 * 131 + c as u64) % 628;
                 let phase = phase as f32 / 100.0;
+                for (x, term) in col_terms.iter_mut().enumerate() {
+                    let fx = x as f32 * inv_res;
+                    *term = (fx * freq * 1.3 + phase * 0.7).cos();
+                }
                 for y in 0..res {
                     let fy = y as f32 * inv_res;
                     let row_term = (fy * freq + phase).sin();
-                    for x in 0..res {
-                        let fx = x as f32 * inv_res;
-                        let mode = (row_term + (fx * freq * 1.3 + phase * 0.7).cos()) * 0.5;
-                        buf[at] = mode + 0.3 * normal(&mut rng);
+                    for col_term in &col_terms {
+                        buf[at] = (row_term + col_term) * 0.5 + 0.3 * normal(&mut rng);
                         at += 1;
                     }
                 }
