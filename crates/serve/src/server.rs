@@ -201,7 +201,8 @@ pub struct ServerConfig {
     /// client keeps them. Connections with a request in flight are exempt.
     pub idle_timeout: Duration,
     /// Maximum non-hit search requests in flight before new ones are shed
-    /// with an `overloaded` reply. Cache hits are exempt.
+    /// with an `overloaded` reply (0 sheds every non-hit). Cache hits are
+    /// exempt.
     pub max_pending_searches: usize,
     /// The `retry_after_ms` hint attached to `overloaded` replies.
     pub retry_after_ms: u64,
@@ -495,7 +496,7 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         codec_binary: AtomicU64::new(0),
         request_seq: AtomicU64::new(0),
         compute_seq: AtomicU64::new(0),
-        max_pending_searches: config.max_pending_searches.max(1) as u64,
+        max_pending_searches: config.max_pending_searches as u64,
         retry_after_ms: config.retry_after_ms,
         default_deadline_ms: config.default_deadline_ms,
         idle_timeout_ms: saturating_millis(config.idle_timeout),

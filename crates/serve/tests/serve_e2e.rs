@@ -7,7 +7,7 @@
 
 use pte_core::machine::Platform;
 use pte_core::search::unified;
-use pte_serve::client::Client;
+use pte_serve::client::{Client, ClientError};
 use pte_serve::codec::{self, NetworkSpec, PlanPayload, PlatformId, SearchRequest};
 use pte_serve::codec_bin;
 use pte_serve::server::{serve, ServerConfig};
@@ -629,6 +629,59 @@ fn warm_restart_replays_the_plan_log() {
     assert_eq!(store_stats.get("appends").and_then(|v| v.as_u64()), Some(0));
     json_client.shutdown().expect("shutdown ack");
     second.join();
+    let _ = std::fs::remove_file(&store);
+}
+
+#[test]
+fn zero_pending_slots_shed_every_miss_and_serve_hits() {
+    let store = std::env::temp_dir().join(format!(
+        "pte-e2e-zero-pending-{}-{:x}.log",
+        std::process::id(),
+        0xE2E3u32
+    ));
+    let _ = std::fs::remove_file(&store);
+    let request = request();
+
+    // Log one plan, so the admission-less daemon has a hit to serve.
+    let first = serve(&ServerConfig {
+        workers: 2,
+        store_path: Some(store.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(first.addr()).expect("connect");
+    let cold = client.search(&request).expect("cold search");
+    client.shutdown().expect("shutdown ack");
+    first.join();
+
+    let handle = serve(&ServerConfig {
+        workers: 2,
+        max_pending_searches: 0,
+        retry_after_ms: 40,
+        store_path: Some(store.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("rebind on the same log");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut miss = request.clone();
+    miss.seed = 0x2E50;
+    for _ in 0..2 {
+        match client.search(&miss).expect_err("a miss must be shed") {
+            ClientError::Server { error, retryable, retry_after_ms } => {
+                assert_eq!(error, "overloaded");
+                assert!(retryable);
+                assert_eq!(retry_after_ms, Some(40));
+            }
+            other => panic!("expected overloaded, got {other}"),
+        }
+    }
+    let hit = client.search(&request).expect("a hit is exempt from admission");
+    assert!(hit.cache_hit);
+    assert_eq!(hit.payload_canonical, cold.payload_canonical);
+    assert_eq!(handle.state().shed(), 2);
+    assert_eq!(handle.state().store_appends(), 0, "no search ran");
+    client.shutdown().expect("shutdown ack");
+    handle.join();
     let _ = std::fs::remove_file(&store);
 }
 
