@@ -900,15 +900,17 @@ impl ConvPath {
 
 /// Runs one wave of probe-convolution GEMMs, counting its multiply–adds.
 fn gemm_wave(tasks: Vec<GemmNnTask<'_>>) {
-    GEMM_MACS.add(tasks.iter().map(|t| (t.m * t.k * t.n) as u64).sum());
-    gemm_nn_batch(tasks);
+    if !tasks.is_empty() {
+        GEMM_MACS.add(tasks.iter().map(|t| (t.m * t.k * t.n) as u64).sum());
+        gemm_nn_batch(tasks);
+    }
 }
 
 /// Executes one shape class on its layer's drawn streams: shared minibatch,
 /// one batched lowering, the growth of the class's shared ungrouped
-/// products, then per repeat one GEMM wave for the grouped members and the
-/// fallback convolutions, followed at once by that repeat's class-wide
-/// stacked tail waves (one per tail geometry).
+/// products, then per repeat the fallback convolutions and one GEMM wave for
+/// the grouped members, followed at once by that repeat's class-wide stacked
+/// tail waves (one per tail geometry).
 fn probe_class(
     members: &[WaveMember],
     layer: &LayerStreams,
@@ -1021,7 +1023,6 @@ fn probe_class(
     let mut totals = vec![0.0f64; members.len()];
     for r in 0..PROBE_REPEATS {
         let mut tasks = Vec::new();
-        let mut fallback = Vec::new();
         for (((m, &path), wt), scratch) in
             members.iter().zip(&paths).zip(&mut weights).zip(&mut scratches)
         {
@@ -1030,7 +1031,10 @@ fn probe_class(
             }
             layer.kaiming_into(&m.spec, r, wt);
             if path == ConvPath::Fallback {
-                fallback.push((m, &*wt, scratch));
+                let conv = Tensor::from_vec(&m.spec.weight_dims(), wt.to_vec())
+                    .and_then(|weight| conv2d(&batch.images, &weight, &m.spec));
+                let Ok(conv_out) = conv else { return reference() };
+                scatter_nchw(conv_out.as_slice(), m.spec.c_out, cols, scratch);
                 continue;
             }
             // `gemm_nn_batch` accumulates into C: clear the last repeat's
@@ -1050,15 +1054,6 @@ fn probe_class(
             }
         }
         gemm_wave(tasks);
-        for (m, wt, scratch) in fallback {
-            let Ok(weight) = Tensor::from_vec(&m.spec.weight_dims(), wt.to_vec()) else {
-                return reference();
-            };
-            let Ok(conv_out) = conv2d(&batch.images, &weight, &m.spec) else {
-                return reference();
-            };
-            scatter_nchw(conv_out.as_slice(), m.spec.c_out, cols, scratch);
-        }
 
         let units: Vec<&[f32]> = members
             .iter()

@@ -283,6 +283,7 @@ fn metrics_op_serves_prometheus_text_over_both_codecs() {
         // probe plane
         "pte_probe_memo_lookup_us",
         "pte_probe_wave_size",
+        "pte_probe_gemm_macs_total",
         // grammar coverage
         "pte_grammar_coverage_ratio",
     ] {
