@@ -28,7 +28,8 @@
 //!   batch their probes by shape class through `proxy::probe_wave`
 //!   (one lowering + multi-image GEMMs per class, bit-identical to
 //!   per-candidate probing), slicing random streams a
-//!   `proxy::ProbeStreams` scope draws once per layer.
+//!   `proxy::ProbeStreams` scope draws once per layer and ungrouped conv
+//!   products it computes once per shape class.
 //! * [`cellnet`] — exact DAG computation for NAS-Bench-201 cells (Figure 3),
 //!   with full forward/backward through the cell graph.
 //!
