@@ -834,21 +834,21 @@ impl ProbeStreams {
         // Each class takes its own shared products out of its layer for the
         // fan-out (the classes' keys are distinct), so the streams stay
         // read-only while the classes run, and hands them back after.
-        let jobs: Vec<(Vec<WaveMember>, SharedProducts)> = classes
+        let jobs: Vec<_> = classes
             .into_iter()
             .map(|members| {
                 let (seed, geometry) = (members[0].seed, class_geometry(&members[0].spec));
                 let layer = layers.get_mut(&seed).expect("drawn layer");
                 let products = layer.products.remove(&geometry).unwrap_or_default();
-                (members, products)
+                (seed, geometry, members, products)
             })
             .collect();
         let streams = &*layers;
         let scored: Vec<_> = jobs
             .into_par_iter()
-            .map(|(members, mut products)| {
-                let scores = probe_class(&members, &streams[&members[0].seed], &mut products);
-                (members[0].seed, class_geometry(&members[0].spec), products, scores)
+            .map(|(seed, geometry, members, mut products)| {
+                let scores = probe_class(&members, &streams[&seed], &mut products);
+                (seed, geometry, products, scores)
             })
             .collect();
         for (seed, geometry, products, scores) in scored {
