@@ -18,9 +18,14 @@
 //! again `--cooloff-ms` later; `--probe-every-ms` is the active ping
 //! cadence and `--probe-timeout-ms` the per-ping read timeout.
 //!
-//! Every millisecond knob falls back to a `PTE_ROUTE_*` environment
-//! variable when its flag is absent, so a fleet can be tuned without
-//! editing unit files.
+//! Every flag but `--addr` falls back to a `PTE_ROUTE_*` environment
+//! variable when it is absent, so a fleet can be tuned without editing unit
+//! files; an unparseable environment value is ignored rather than fatal.
+//!
+//! The router runs on the daemon's connection core: one event loop blocked
+//! in `poll(2)` and a worker pool sized from the fleet, so it has no
+//! cadence knob, idle clients cost no threads, and a client idle for 60 s
+//! is disconnected, as the daemon's default `--idle-timeout-ms` does.
 
 use std::time::Duration;
 
@@ -35,8 +40,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Environment fallback for a numeric knob: used only when its flag is
-/// absent; unparseable values are ignored rather than fatal.
+/// Splits a comma-separated `--shards` list into addresses, trimming
+/// whitespace and dropping empty entries.
 fn parse_shards(list: &str) -> Vec<String> {
     list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(str::to_string).collect()
 }
@@ -113,11 +118,8 @@ fn main() {
         config.trip_after,
         config.cooloff.as_millis(),
     );
-    // Runs until a client sends a shutdown op (or the process is killed).
-    let state = std::sync::Arc::clone(router.state());
-    while !state.is_stopping() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    router.join();
+    // Runs until a client sends a shutdown op (or the process is killed);
+    // wait returns once the event loop, workers and prober have drained.
+    router.wait();
     println!("pte-route: drained, bye");
 }

@@ -9,10 +9,13 @@
 //!   serialized plan payload, with canonical content-hash request keys;
 //! * [`cache`] — sharded, bounded, LRU-ish plan cache with single-flight
 //!   deduplication of concurrent identical requests;
-//! * [`server`] — `TcpListener` + worker-pool daemon speaking line-delimited
-//!   JSON, with graceful shutdown, per-request deadlines, bounded admission
-//!   with load shedding, panic isolation, timing, and `stats` / `metrics`
-//!   observability ops (the latter embeds a Prometheus-style text page fed
+//! * `conn` — the connection core both endpoints drive: one `poll(2)` event
+//!   loop owning every connection, a fixed worker pool, and the panic
+//!   containment that answers a handler panic with `internal panic`;
+//! * [`server`] — the daemon on that core, speaking line-delimited JSON and
+//!   binary frames, with graceful shutdown, per-request deadlines, bounded
+//!   admission with load shedding, panic isolation, timing, and `stats` /
+//!   `metrics` observability ops (the latter embeds a Prometheus-style text page fed
 //!   by the process-wide `pte-telemetry` registry); an op-level
 //!   `trace: true` field returns the request's span tree next to
 //!   `elapsed_ms` without touching the payload bytes;
@@ -20,7 +23,8 @@
 //! * [`retry`] — self-healing wrapper: reconnect-and-retry with exponential
 //!   backoff, seeded jitter, and an optional wall-clock retry budget, safe
 //!   because request keys are idempotent content hashes;
-//! * [`router`] — `pte-route`, the fault-tolerant fleet tier: a
+//! * [`router`] — `pte-route`, the fault-tolerant fleet tier on the same
+//!   core (its workers pool backend connections per shard and codec): a
 //!   consistent-hash ring (virtual nodes, bounded key movement) routes
 //!   content-hash keys across N daemons, a health plane (active ping
 //!   probes + passive failure accounting) drives per-shard
@@ -46,6 +50,7 @@ pub mod cache;
 pub mod client;
 pub mod codec;
 pub mod codec_bin;
+mod conn;
 pub mod fault;
 pub mod json;
 mod poll;

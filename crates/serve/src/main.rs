@@ -133,11 +133,7 @@ fn main() {
         handle.state().store_loaded(),
     );
     // Runs until a client sends a shutdown op (or the process is killed);
-    // join returns once the event loop and workers have drained.
-    let state = std::sync::Arc::clone(handle.state());
-    while !state.is_stopping() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    handle.join();
+    // wait returns once the event loop and workers have drained.
+    handle.wait();
     println!("pte-serve: drained, bye");
 }

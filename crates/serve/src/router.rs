@@ -26,10 +26,13 @@
 //!   first-response-wins. The walk honours the request's `deadline_ms` as
 //!   a wall-clock failover budget, mirroring `RetryPolicy::budget`.
 //!
-//! The router speaks both wire codecs through the daemons' own pipeline
-//! ([`crate::wire`]: the same extractor, decoder and error encoder, so its
-//! framing and error bytes are the daemons'), answers `ping` / `stats` /
-//! `metrics` / `shutdown` itself, and forwards `search` bytes verbatim.
+//! The router runs on the daemons' connection core ([`crate::conn`]: one
+//! event loop in `poll(2)`, a fixed worker pool, idle connections reaped
+//! after 60 s) and speaks both wire codecs through the daemons' own
+//! pipeline ([`crate::wire`]: the same extractor, decoder and error
+//! encoder, so its framing and error bytes are the daemons'). It answers
+//! `ping` / `stats` / `metrics` / `shutdown` itself and forwards `search`
+//! bytes verbatim over its workers' pooled backend connections.
 //! Its `stats` op exposes the router conservation law, asserted by the
 //! fleet chaos suite: **`routed == forwarded + failovers + shed`** — every
 //! routed search terminates as exactly one of "served by its primary",
@@ -37,17 +40,18 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::{Duration, Instant};
 
 use pte_telemetry::{Counter, Gauge, Histogram};
 
 use crate::client::Client;
+use crate::conn::{self, Core, Outcome, Service};
 use crate::json::{fnv1a64, Json};
-use crate::poll::{PollFd, POLLIN};
+use crate::server::ServerConfig;
 use crate::wire::{self, json_count, Inbox, Message, Op, Reply, Wire};
 
 // ---------------------------------------------------------------------------
@@ -272,9 +276,6 @@ pub struct RouterConfig {
     /// it. A failure during `Down` (e.g. a failed probe) restarts the
     /// clock.
     pub cooloff: Duration,
-    /// How quickly idle handler threads and the accept thread notice
-    /// shutdown (their read and `poll(2)` timeouts).
-    pub poll_interval: Duration,
 }
 
 impl Default for RouterConfig {
@@ -289,7 +290,6 @@ impl Default for RouterConfig {
             probe_timeout: Duration::from_millis(250),
             trip_after: 3,
             cooloff: Duration::from_secs(1),
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
@@ -379,11 +379,6 @@ impl RouterState {
         self.slots[index].state()
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Passive/active failure accounting: bumps the consecutive-failure
     /// count, degrades on the first failure, trips the breaker at
     /// `trip_after` (bounded ejection time: a dead shard is `Down` after at
@@ -435,53 +430,46 @@ impl RouterState {
 
 /// A running router: bound address plus shutdown/join handles.
 pub struct Router {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    prober_thread: Option<std::thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    core: Core<RouterState>,
 }
 
 impl Router {
     /// The address the router actually bound (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.core.addr()
     }
 
     /// Shared state (counters + health), for in-process observability.
     pub fn state(&self) -> &Arc<RouterState> {
-        &self.state
+        self.core.service()
     }
 
-    /// Signals shutdown; threads notice within one poll interval.
+    /// Signals shutdown and wakes the event loop to act on it.
     pub fn shutdown(&self) {
-        self.state.stop.store(true, Ordering::SeqCst);
+        self.core.shutdown();
+    }
+
+    /// Blocks until the router has drained — a `shutdown` op or
+    /// [`Router::shutdown`] stops it — then joins every thread.
+    pub fn wait(mut self) {
+        self.core.wait();
     }
 
     /// Signals shutdown and joins every thread.
-    pub fn join(mut self) {
+    pub fn join(self) {
         self.shutdown();
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
-        }
-        if let Some(thread) = self.prober_thread.take() {
-            let _ = thread.join();
-        }
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler threads"));
-        for thread in handlers {
-            let _ = thread.join();
-        }
+        self.wait();
     }
 }
 
-impl Drop for Router {
-    fn drop(&mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
-    }
-}
-
-/// Starts the router: builds the ring, binds, spawns the accept loop and
-/// the prober, and returns immediately.
+/// Starts the router: builds the ring, binds, spawns the connection core
+/// and the prober, and returns immediately.
+///
+/// The worker pool is sized from the fleet: `shards × ServerConfig::default()
+/// .workers`. A router worker carries one forward at a time and a daemon
+/// runs at most its worker count of requests at once, so this many workers
+/// can keep every default-sized shard busy, and more would only queue
+/// inside the daemons.
 ///
 /// # Errors
 /// Propagates bind failures; rejects an empty shard list.
@@ -515,69 +503,30 @@ pub fn route(config: &RouterConfig) -> io::Result<Router> {
         started: Instant::now(),
         stop: AtomicBool::new(false),
     });
+    let daemon = ServerConfig::default();
+    let workers = config.shards.len() * daemon.workers;
+    let (mut core, exited) =
+        conn::spawn(&config.addr, Arc::clone(&state), workers, daemon.idle_timeout)?;
 
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let poll = config.poll_interval.max(Duration::from_millis(1));
-
-    let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept_state = Arc::clone(&state);
-    let accept_handlers = Arc::clone(&handlers);
-    let accept_thread = std::thread::spawn(move || {
-        // Blocks in `poll(2)` on the listener, so a connecting client is
-        // accepted at once; the timeout only bounds how long a stop waits.
-        let mut fds = [PollFd::new(listener.as_raw_fd(), POLLIN)];
-        while !accept_state.is_stopping() {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&accept_state);
-                    let thread = std::thread::spawn(move || handle_client(stream, &state, poll));
-                    accept_handlers.lock().expect("handler threads").push(thread);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if crate::poll::wait(&mut fds, Some(poll)).is_err() {
-                        std::thread::sleep(poll);
-                    }
-                }
-                Err(_) => std::thread::sleep(poll),
-            }
-        }
-    });
-
-    let prober_state = Arc::clone(&state);
+    // The first sweep runs at once; after that one per `probe_every`,
+    // until the event loop exits and `exited` disconnects.
     let probe_every = config.probe_every.max(Duration::from_millis(1));
-    let prober_thread = std::thread::spawn(move || {
-        // Sleep in small ticks so shutdown joins promptly even with slow
-        // probe cadences.
-        let tick = probe_every.min(Duration::from_millis(25));
-        let mut since = probe_every; // first sweep runs immediately
-        while !prober_state.is_stopping() {
-            if since >= probe_every {
-                since = Duration::ZERO;
-                probe_sweep(&prober_state);
-            }
-            std::thread::sleep(tick);
-            since += tick;
+    core.adopt(std::thread::spawn(move || {
+        probe_sweep(&state);
+        while exited.recv_timeout(probe_every) == Err(RecvTimeoutError::Timeout) {
+            probe_sweep(&state);
         }
-    });
-
-    Ok(Router {
-        addr,
-        state,
-        accept_thread: Some(accept_thread),
-        prober_thread: Some(prober_thread),
-        handlers,
-    })
+    }));
+    Ok(Router { core })
 }
 
 /// One prober sweep: ping every shard that is due. Live shards get a
 /// liveness check (catching hangs the request path would otherwise only
 /// discover by blocking); `Down` shards past their cooloff get the
 /// half-open probe whose success re-admits them.
-fn probe_sweep(state: &Arc<RouterState>) {
+fn probe_sweep(state: &RouterState) {
     for index in 0..state.slots.len() {
-        if state.is_stopping() || !state.probe_due(index) {
+        if state.stop.load(Ordering::SeqCst) || !state.probe_due(index) {
             continue;
         }
         state.probes.fetch_add(1, Ordering::Relaxed);
@@ -597,61 +546,35 @@ fn ping_shard(addr: &str, timeout: Duration) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Client handling
+// Request handling
 // ---------------------------------------------------------------------------
 
-/// Per-connection handler: cuts messages with the daemons' extractor,
-/// answers control ops locally, and forwards searches through the ring.
-fn handle_client(stream: TcpStream, state: &Arc<RouterState>, poll: Duration) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(poll));
-    state.connections.fetch_add(1, Ordering::Relaxed);
-    let mut backends: HashMap<usize, Backend> = HashMap::new();
-    let result = client_loop(stream, state, &mut backends);
-    state.connections.fetch_sub(1, Ordering::Relaxed);
-    drop(result);
-}
+/// The router's side of the connection core: each worker keeps its own
+/// backend pool.
+impl Service for RouterState {
+    type Worker = Backends;
 
-fn client_loop(
-    mut stream: TcpStream,
-    state: &Arc<RouterState>,
-    backends: &mut HashMap<usize, Backend>,
-) -> io::Result<()> {
-    let mut inbox = Inbox::default();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        // Answer every complete message already buffered.
-        loop {
-            match inbox.next() {
-                Ok(Some(message)) => {
-                    let reply = respond(&message, state, backends);
-                    stream.write_all(&reply.encode(message.wire))?;
-                }
-                Ok(None) => break,
-                Err(error_reply) => {
-                    // Framing is lost: answer and close, as the daemons do.
-                    return stream.write_all(&error_reply);
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => inbox.push(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if state.is_stopping() {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
+    fn handle(&self, message: Message, backends: &mut Backends) -> Outcome {
+        Outcome::Reply(respond(&message, self, backends).encode(message.wire))
+    }
+
+    fn stop_flag(&self) -> &AtomicBool {
+        &self.stop
+    }
+
+    fn connections(&self) -> &AtomicU64 {
+        &self.connections
     }
 }
 
-/// A pooled backend connection (sticky per handler thread, lazily opened,
-/// dropped on the first I/O failure).
-struct Backend {
+/// A worker's pooled backend connections, keyed by shard *and* codec: a
+/// backend's reply inbox speaks the codec of the request that opened it,
+/// and one worker serves JSON and binary clients alike.
+type Backends = HashMap<(usize, Wire), Backend>;
+
+/// A pooled backend connection (sticky per worker, lazily opened, dropped
+/// on the first I/O failure).
+pub(crate) struct Backend {
     stream: TcpStream,
     /// Reassembly of reply bytes, in the codec of the forwarded requests.
     inbox: Inbox,
@@ -713,8 +636,8 @@ enum Shed {
 /// counted the search as `routed`; this function counts exactly one of
 /// `forwarded` / `failovers` / `shed` before returning.
 fn forward_search(
-    state: &Arc<RouterState>,
-    backends: &mut HashMap<usize, Backend>,
+    state: &RouterState,
+    backends: &mut Backends,
     key: u64,
     message: &Message,
     deadline_ms: Option<u64>,
@@ -772,7 +695,7 @@ fn over_budget(started: Instant, budget: Option<Duration>) -> bool {
 
 /// Terminal accounting for a served search: primary service is a forward,
 /// replica service is a failover; either way the serving shard is healthy.
-fn settle(state: &Arc<RouterState>, candidates: &[usize], shard: usize, started: Instant) {
+fn settle(state: &RouterState, candidates: &[usize], shard: usize, started: Instant) {
     state.record_success(shard);
     state.slots[shard].rtt_us.record_duration_us(started.elapsed());
     if candidates.first() == Some(&shard) {
@@ -786,33 +709,34 @@ fn settle(state: &Arc<RouterState>, candidates: &[usize], shard: usize, started:
     }
 }
 
-/// One forward over the handler's pooled connection, with a single
+/// One forward over the worker's pooled connection, with a single
 /// fresh-connection retry when a *pooled* connection turns out stale (the
 /// daemon idle-closed it): a stale pool entry must not count as a shard
 /// failure.
 fn forward_once(
-    state: &Arc<RouterState>,
-    backends: &mut HashMap<usize, Backend>,
+    state: &RouterState,
+    backends: &mut Backends,
     shard: usize,
     message: &Message,
 ) -> io::Result<Vec<u8>> {
     let addr = &state.slots[shard].addr;
-    let pooled = backends.contains_key(&shard);
+    let key = (shard, message.wire);
+    let pooled = backends.contains_key(&key);
     if !pooled {
-        backends.insert(shard, Backend::connect(addr, message.wire)?);
+        backends.insert(key, Backend::connect(addr, message.wire)?);
     }
-    let backend = backends.get_mut(&shard).expect("just inserted");
+    let backend = backends.get_mut(&key).expect("just inserted");
     match backend.round_trip(message.raw(), None) {
         Ok(reply) => Ok(reply),
         Err(e) => {
-            backends.remove(&shard);
+            backends.remove(&key);
             if !pooled {
                 return Err(e);
             }
             // The pooled connection was stale; one fresh attempt.
             let mut fresh = Backend::connect(addr, message.wire)?;
             let reply = fresh.round_trip(message.raw(), None)?;
-            backends.insert(shard, fresh);
+            backends.insert(key, fresh);
             Ok(reply)
         }
     }
@@ -826,7 +750,7 @@ fn forward_once(
 /// Returns `None` when both racers failed at the transport level (caller
 /// falls back to the sequential walk over the remaining candidates).
 fn forward_hedged(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     candidates: &[usize],
     order: &[usize],
     message: &Message,
@@ -905,11 +829,7 @@ fn remaining(started: Instant, budget: Option<Duration>) -> Duration {
 /// Decodes and handles one client message: control ops answered locally,
 /// searches forwarded as the bytes the client sent, their replies relayed
 /// verbatim.
-fn respond(
-    message: &Message,
-    state: &Arc<RouterState>,
-    backends: &mut HashMap<usize, Backend>,
-) -> Reply {
+fn respond(message: &Message, state: &RouterState, backends: &mut Backends) -> Reply {
     state.requests.fetch_add(1, Ordering::Relaxed);
     let search = match message.decode() {
         Ok(Op::Search(search)) => search,
@@ -939,7 +859,7 @@ fn respond(
 
 /// The router stats document: conservation-law counters, health-plane
 /// totals, and one entry per shard.
-fn stats_json(state: &Arc<RouterState>) -> Json {
+fn stats_json(state: &RouterState) -> Json {
     let shards: Vec<Json> = state
         .slots
         .iter()
@@ -987,9 +907,12 @@ mod tests {
     }
 
     fn test_state(shards: usize, trip_after: u32) -> Arc<RouterState> {
-        let ids = ids(shards);
+        state_over(&ids(shards), trip_after)
+    }
+
+    fn state_over(ids: &[String], trip_after: u32) -> Arc<RouterState> {
         Arc::new(RouterState {
-            ring: HashRing::build(&ids, 16),
+            ring: HashRing::build(ids, 16),
             slots: ids.iter().enumerate().map(|(i, a)| ShardSlot::new(i, a.clone())).collect(),
             replicas: 2,
             vnodes: 16,
@@ -1143,5 +1066,33 @@ mod tests {
             assert_eq!(reply, expected.encode(wire));
         }
         assert_eq!(state.routed(), 0, "rejected requests are never routed");
+    }
+
+    #[test]
+    fn one_worker_pool_forwards_both_codecs_to_one_shard() {
+        // A worker serves JSON and binary clients alike, so its pool must
+        // keep a backend per codec: a reply cut by the other codec's inbox
+        // would fail as shard framing and count against the shard.
+        let daemon = crate::server::serve(&ServerConfig { workers: 1, ..ServerConfig::default() })
+            .expect("bind daemon");
+        let state = state_over(&[daemon.addr().to_string()], 3);
+        let request = crate::workload::bench_request(0xB0B);
+        let json = format!("{{\"op\":\"search\",\"request\":{}}}\n", request.encode().unwrap());
+        let binary = crate::codec_bin::frame_bytes(
+            crate::codec_bin::kind::SEARCH,
+            &crate::codec_bin::encode_search_request(&request, None, false),
+        );
+        let mut backends = Backends::default();
+        for raw in [json.as_bytes(), &binary, json.as_bytes()] {
+            let mut inbox = Inbox::default();
+            inbox.push(raw);
+            let message = inbox.next().ok().flatten().expect("one message");
+            let reply = respond(&message, &state, &mut backends);
+            assert!(matches!(reply, Reply::Relayed(_)), "forward failed: {}", state.shed());
+        }
+        assert_eq!(backends.len(), 2, "one pooled backend per codec");
+        assert_eq!((state.forwarded(), state.shed()), (3, 0));
+        assert_eq!(state.shard_state(0), ShardState::Up);
+        daemon.join();
     }
 }

@@ -29,26 +29,13 @@
 //!
 //! ## Threading
 //!
-//! One event-loop thread owns the listener and every connection. Sockets
-//! are nonblocking, and the loop blocks in `poll(2)` ([`crate::poll`]) on
-//! the listener, every connection and the read end of a wake-up socket
-//! pair, so an idle keep-alive connection costs a `pollfd` entry and zero
-//! threads — the daemon holds thousands of idle connections with the same
-//! fixed thread count it holds one, and an idle daemon does not wake at
-//! all. A connection is polled for reading while it has no request in
-//! flight and for writing while it has undelivered bytes; a busy
-//! connection with nothing to send is left out, since its hang-up would
-//! otherwise report ready on every call. The poll timeout is the nearest
-//! idle-connection deadline, or none.
-//!
-//! Complete messages are handed to a fixed worker pool over a channel;
-//! completions flow back over another. After each completion a worker
-//! writes one byte to the wake-up pair (as do [`ServerHandle::shutdown`]
-//! and its `Drop`), so a finished search ends the poll at once. At most one
-//! request per connection is in flight at a time — the loop stops
-//! extracting messages from a connection until its reply is queued — which
-//! preserves reply ordering under pipelining without any reordering
-//! machinery.
+//! The daemon runs on the connection core ([`crate::conn`]): one event-loop
+//! thread owning the listener and every connection, blocking in `poll(2)`,
+//! in front of a fixed worker pool. [`ServerState`] is the core's
+//! [`Service`]: a worker decodes a message, runs it through the request
+//! pipeline below and encodes the reply. At most one request per
+//! connection is in flight at a time, which preserves reply ordering under
+//! pipelining.
 //!
 //! ## Failure containment (unchanged contract)
 //!
@@ -77,14 +64,11 @@
 //! from the first request.
 
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, LazyLock, Mutex};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 use pte_core::search::CancelToken;
@@ -92,11 +76,11 @@ use pte_telemetry::{Counter, Gauge, Histogram, Trace};
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::codec::{self, ErrorClass, SearchRequest};
+use crate::conn::{self, Core, Outcome, Service};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::json::{fnv1a64, Json};
-use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::store::PlanStore;
-use crate::wire::{self, json_count, Control, Inbox, Message, Op, Reply, SearchOp, Served, Wire};
+use crate::wire::{self, json_count, Control, Message, Op, Reply, SearchOp, Served, Wire};
 
 // ---------------------------------------------------------------------------
 // Telemetry handles
@@ -110,14 +94,6 @@ use crate::wire::{self, json_count, Control, Inbox, Message, Op, Reply, SearchOp
 // registry carries the histograms, gauges and aggregate counters the
 // `metrics` op exposes alongside them.
 
-static EL_WAKEUPS: LazyLock<Counter> =
-    LazyLock::new(|| pte_telemetry::global().counter("pte_event_loop_wakeups_total"));
-static EL_POLLS: LazyLock<Counter> =
-    LazyLock::new(|| pte_telemetry::global().counter("pte_event_loop_poll_iterations_total"));
-static CONNS_BUSY: LazyLock<Gauge> =
-    LazyLock::new(|| pte_telemetry::global().gauge("pte_connections_busy"));
-static CONNS_IDLE: LazyLock<Gauge> =
-    LazyLock::new(|| pte_telemetry::global().gauge("pte_connections_idle"));
 static QUEUE_DEPTH: LazyLock<Gauge> =
     LazyLock::new(|| pte_telemetry::global().gauge("pte_queue_depth"));
 static SHED_TOTAL: LazyLock<Counter> =
@@ -159,10 +135,6 @@ impl Op {
 /// lists all names before any traffic, and so no request thread ever pays
 /// the registration lock.
 fn init_metrics() {
-    LazyLock::force(&EL_WAKEUPS);
-    LazyLock::force(&EL_POLLS);
-    LazyLock::force(&CONNS_BUSY);
-    LazyLock::force(&CONNS_IDLE);
     LazyLock::force(&QUEUE_DEPTH);
     LazyLock::force(&SHED_TOTAL);
     LazyLock::force(&DEADLINE_TOTAL);
@@ -188,8 +160,10 @@ fn init_metrics() {
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads executing requests. Searches, stalls and coalesced
-    /// waits pin workers; the event loop never blocks on any of them.
+    /// Worker threads executing requests. The connection core runs one
+    /// thread more than this, and its threads take turns running the event
+    /// loop: searches, stalls and coalesced waits pin threads, and whichever
+    /// thread is free runs the loop, which never blocks on any of them.
     pub workers: usize,
     /// Plan-cache entry capacity.
     pub cache_capacity: usize,
@@ -369,11 +343,6 @@ impl ServerState {
     pub fn store_compacted(&self) -> u64 {
         self.store_compacted
     }
-
-    /// Whether a shutdown has been requested (by handle or `shutdown` op).
-    pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
 }
 
 /// Decrements the in-flight gauge on every exit path — including the
@@ -391,60 +360,39 @@ impl Drop for InflightSlot<'_> {
 
 /// A running server: its bound address plus shutdown/join handles.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    state: Arc<ServerState>,
-    waker: Arc<UnixStream>,
-    event_loop: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    core: Core<ServerState>,
 }
 
 impl ServerHandle {
     /// The address the server actually bound (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.core.addr()
     }
 
     /// Shared state (cache + counters), for in-process observability.
     pub fn state(&self) -> &Arc<ServerState> {
-        &self.state
+        self.core.service()
     }
 
     /// Signals shutdown and wakes the event loop to act on it.
     pub fn shutdown(&self) {
-        self.state.stop.store(true, Ordering::SeqCst);
-        wake(&self.waker);
+        self.core.shutdown();
+    }
+
+    /// Blocks until the daemon has drained — a `shutdown` op or
+    /// [`ServerHandle::shutdown`] stops it — then joins every thread.
+    pub fn wait(mut self) {
+        self.core.wait();
     }
 
     /// Signals shutdown and joins every thread (graceful: in-flight
     /// requests finish, their replies are delivered, then everything
     /// closes).
-    pub fn join(mut self) {
+    pub fn join(self) {
         self.shutdown();
-        if let Some(event_loop) = self.event_loop.take() {
-            let _ = event_loop.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.wait();
     }
 }
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Wakes the event loop out of `poll(2)` by writing one byte to the write
-/// end of its wake-up pair. Errors are ignored: `WouldBlock` means the pair
-/// is full, so a wake is already pending, and anything else means the loop
-/// has exited and closed the read end.
-fn wake(waker: &UnixStream) {
-    let _ = (&*waker).write(&[1]);
-}
-
-/// The event loop's per-sweep read chunk.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Starts the server: opens the plan log (if configured) and replays it
 /// into the cache, binds, spawns the event loop and the worker pool, and
@@ -475,13 +423,6 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         store = Some(Arc::new(opened));
     }
 
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let (wake_rx, waker) = UnixStream::pair()?;
-    wake_rx.set_nonblocking(true)?;
-    waker.set_nonblocking(true)?;
-    let waker = Arc::new(waker);
     let state = Arc::new(ServerState {
         cache,
         requests: AtomicU64::new(0),
@@ -509,497 +450,84 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
         started: Instant::now(),
         stop: AtomicBool::new(false),
     });
-
-    let (job_tx, job_rx): (Sender<Job>, Receiver<Job>) = std::sync::mpsc::channel();
-    let (completion_tx, completion_rx) = std::sync::mpsc::channel();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-
-    let mut workers: Vec<_> = (0..config.workers.max(1))
-        .map(|_| {
-            let job_rx = Arc::clone(&job_rx);
-            let completion_tx = completion_tx.clone();
-            let waker = Arc::clone(&waker);
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || worker_loop(&job_rx, &completion_tx, &waker, &state))
-        })
-        .collect();
-    drop(completion_tx); // the loop's rx disconnects when the last worker exits
-
+    let (mut core, exited) =
+        conn::spawn(&config.addr, Arc::clone(&state), config.workers, config.idle_timeout)?;
     if let Some(every) = config.metrics_every {
         let path =
             config.metrics_path.clone().unwrap_or_else(|| PathBuf::from("pte_metrics.jsonl"));
-        let state = Arc::clone(&state);
-        workers.push(std::thread::spawn(move || metrics_snapshot_loop(&state, &path, every)));
+        core.adopt(std::thread::spawn(move || {
+            metrics_snapshot_loop(&state, &path, every, &exited)
+        }));
     }
-
-    let event_loop = {
-        let state = Arc::clone(&state);
-        let idle_timeout = config.idle_timeout;
-        std::thread::spawn(move || {
-            EventLoop {
-                listener,
-                wake_rx,
-                state,
-                conns: Vec::new(),
-                free: Vec::new(),
-                live: 0,
-                busy: 0,
-                next_epoch: 0,
-                job_tx,
-                completion_rx,
-                idle_timeout,
-                fds: Vec::new(),
-                fd_slots: Vec::new(),
-            }
-            .run();
-        })
-    };
-
-    Ok(ServerHandle { addr, state, waker, event_loop: Some(event_loop), workers })
+    Ok(ServerHandle { core })
 }
 
 // ---------------------------------------------------------------------------
-// Event loop
+// Request handling
 // ---------------------------------------------------------------------------
 
-/// A unit of work for the pool, addressed back to its connection slot.
-/// `epoch` guards slot reuse: a completion for a connection that closed
-/// (and whose slot now holds a newer one) is discarded. Messages travel as
-/// raw bytes: decoding happens in the worker, so a malformed request is
-/// just another reply, not loop work.
-struct Job {
-    slot: usize,
-    epoch: u64,
-    message: Message,
-}
+/// The daemon's side of the connection core. The fault hook sees one
+/// global request ordinal across both codecs, so a chaos script replays
+/// identically over either wire format; an injected panic unwinds into the
+/// core's containment like an organic one.
+impl Service for ServerState {
+    type Worker = ();
 
-/// What a worker produced for a job.
-enum Outcome {
-    /// Bytes to queue on the connection (a JSON line with its newline, or a
-    /// complete binary frame).
-    Reply(Vec<u8>),
-    /// Sever the connection without replying (injected disconnect).
-    Silent,
-}
-
-/// A finished job flowing back to the event loop.
-struct Completion {
-    slot: usize,
-    epoch: u64,
-    outcome: Outcome,
-}
-
-/// One connection owned by the event loop.
-struct Connection {
-    stream: TcpStream,
-    /// Inbound bytes not yet forming a complete message; fixes the
-    /// connection's codec from its first byte.
-    inbox: Inbox,
-    /// Outbound bytes not yet accepted by the socket.
-    out: Vec<u8>,
-    /// A request is in flight; no further messages are extracted (and no
-    /// reads are issued) until its reply is queued.
-    busy: bool,
-    /// The last poll reported the socket ready (or it was just accepted):
-    /// the next pass reads it. Cleared once a read drains it.
-    readable: bool,
-    epoch: u64,
-    /// Idle clock: reset when a reply is queued, like the old per-worker
-    /// `last_request` — trickling partial bytes does not reset it.
-    last_reply: Instant,
-    /// Deliver `out`, then close (oversized line, broken framing, drain).
-    close_after_flush: bool,
-}
-
-impl Connection {
-    /// The events to poll this connection for; `0` leaves it out of the
-    /// poll set. Reads are wanted only while messages may still be
-    /// extracted, writes only while bytes are queued. A busy connection
-    /// with nothing to send is not polled at all: its hang-up would report
-    /// `POLLHUP` on every call and spin the loop until its reply lands.
-    fn interest(&self) -> i16 {
-        let mut events = 0;
-        if !self.busy && !self.close_after_flush {
-            events |= POLLIN;
-        }
-        if !self.out.is_empty() {
-            events |= POLLOUT;
-        }
-        events
-    }
-}
-
-struct EventLoop {
-    listener: TcpListener,
-    /// Read end of the wake-up pair; workers and the handle write to the
-    /// other end.
-    wake_rx: UnixStream,
-    state: Arc<ServerState>,
-    conns: Vec<Option<Connection>>,
-    free: Vec<usize>,
-    live: usize,
-    /// Connections with a request in flight (mirrors the per-connection
-    /// `busy` flags; feeds the busy/idle gauges once per loop pass).
-    busy: usize,
-    next_epoch: u64,
-    job_tx: Sender<Job>,
-    completion_rx: Receiver<Completion>,
-    idle_timeout: Duration,
-    /// The poll set, rebuilt before every wait: the wake-up pair, then the
-    /// listener (unless stopping), then one entry per polled connection.
-    fds: Vec<PollFd>,
-    /// The connection slot behind each connection entry of `fds`.
-    fd_slots: Vec<usize>,
-}
-
-impl EventLoop {
-    fn run(mut self) {
-        let mut scratch = vec![0u8; READ_CHUNK];
-        loop {
-            // Pre-registered counter/gauge handles only on this thread:
-            // recording is a handful of atomic ops, never a lock.
-            EL_POLLS.inc();
-            let stopping = self.state.stop.load(Ordering::SeqCst);
-
-            while let Ok(completion) = self.completion_rx.try_recv() {
-                self.apply_completion(completion, stopping);
-            }
-            if !stopping {
-                self.accept_new();
-            }
-            for index in 0..self.conns.len() {
-                let Some(mut conn) = self.conns[index].take() else { continue };
-                if self.sweep_conn(index, &mut conn, stopping, &mut scratch) {
-                    self.conns[index] = Some(conn);
-                } else {
-                    if conn.busy {
-                        // Closed with a request still in flight; its stale
-                        // completion will be discarded by the epoch check.
-                        self.busy = self.busy.saturating_sub(1);
-                    }
-                    self.release_slot(index);
-                }
-            }
-            CONNS_BUSY.set(self.busy as i64);
-            CONNS_IDLE.set(self.live.saturating_sub(self.busy) as i64);
-            if stopping && self.live == 0 {
-                return; // drops the listener (refusing new connects) and job_tx
-            }
-            // Every pass drains what it touches (reads and accepts run to
-            // `WouldBlock`, writes until the socket pushes back), and the
-            // poll is level-triggered, so blocking here never strands work.
-            self.wait(stopping);
-        }
-    }
-
-    /// Blocks in `poll(2)` until a socket is ready, a worker or the handle
-    /// writes to the wake-up pair, or the nearest idle deadline passes, then
-    /// marks the ready connections for the next pass and drains the pair.
-    fn wait(&mut self, stopping: bool) {
-        self.fds.clear();
-        self.fd_slots.clear();
-        self.fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
-        if !stopping {
-            self.fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-        }
-        let first_conn = self.fds.len();
-        let mut timeout: Option<Duration> = None;
-        for (index, conn) in self.conns.iter().enumerate() {
-            let Some(conn) = conn else { continue };
-            let events = conn.interest();
-            if events == 0 {
-                continue;
-            }
-            self.fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-            self.fd_slots.push(index);
-            if !conn.busy && conn.out.is_empty() {
-                let left = self.idle_timeout.saturating_sub(conn.last_reply.elapsed());
-                timeout = Some(timeout.map_or(left, |t| t.min(left)));
-            }
-        }
-        if poll::wait(&mut self.fds, timeout).is_err() {
-            // `poll` itself failed (EINVAL/ENOMEM): back off instead of
-            // spinning, and let the next pass sweep every connection.
-            std::thread::sleep(Duration::from_millis(1));
-            self.conns.iter_mut().flatten().for_each(|conn| conn.readable = true);
-            return;
-        }
-        for (fd, &slot) in self.fds[first_conn..].iter().zip(&self.fd_slots) {
-            // Anything but bare writability (data, EOF, an error) is news
-            // only a read can deliver.
-            if fd.revents & !POLLOUT != 0 {
-                if let Some(Some(conn)) = self.conns.get_mut(slot) {
-                    conn.readable = true;
-                }
-            }
-        }
-        if self.fds[0].revents != 0 {
-            EL_WAKEUPS.inc();
-            let mut drain = [0u8; 64];
-            while matches!((&self.wake_rx).read(&mut drain), Ok(n) if n > 0) {}
-        }
-    }
-
-    fn release_slot(&mut self, index: usize) {
-        self.conns[index] = None;
-        self.free.push(index);
-        self.live -= 1;
-        self.state.connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn accept_new(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let epoch = self.next_epoch;
-                    self.next_epoch += 1;
-                    let conn = Connection {
-                        stream,
-                        inbox: Inbox::default(),
-                        out: Vec::new(),
-                        busy: false,
-                        // A client usually writes right after connecting:
-                        // try the first read without waiting for a poll.
-                        readable: true,
-                        epoch,
-                        last_reply: Instant::now(),
-                        close_after_flush: false,
-                    };
-                    let slot = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    });
-                    self.conns[slot] = Some(conn);
-                    self.live += 1;
-                    self.state.connections.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Routes one finished job to its connection. Stale completions (the
-    /// connection closed; the slot is empty or reused) are discarded — the
-    /// worker's side effects (cache publish, counters) already happened and
-    /// remain valid.
-    fn apply_completion(&mut self, completion: Completion, stopping: bool) {
-        let current = match self.conns.get_mut(completion.slot) {
-            Some(Some(conn)) if conn.epoch == completion.epoch => conn,
-            _ => return,
-        };
-        match completion.outcome {
-            Outcome::Reply(bytes) => {
-                if current.out.is_empty() {
-                    current.out = bytes;
-                } else {
-                    current.out.extend_from_slice(&bytes);
-                }
-                current.busy = false;
-                current.last_reply = Instant::now();
-                self.busy = self.busy.saturating_sub(1);
-                if stopping {
-                    // Drain contract: the reply is delivered, then the
-                    // connection closes instead of taking more requests.
-                    current.close_after_flush = true;
-                }
-            }
-            Outcome::Silent => {
-                self.busy = self.busy.saturating_sub(1);
-                self.release_slot(completion.slot);
-            }
-        }
-    }
-
-    /// One pass over a connection: flush, read if ready, extract, dispatch,
-    /// then apply idle/drain policy. Returns false to close.
-    fn sweep_conn(
-        &mut self,
-        index: usize,
-        conn: &mut Connection,
-        stopping: bool,
-        scratch: &mut [u8],
-    ) -> bool {
-        if !flush_out(conn) {
-            return false;
-        }
-        if conn.close_after_flush {
-            return !conn.out.is_empty(); // keep only while undelivered bytes remain
-        }
-        if !conn.busy {
-            match self.pump(index, conn, scratch) {
-                Pump::Keep => {}
-                Pump::Close => return false,
-            }
-            // An error queued during extraction may have requested a close;
-            // push the bytes out before the next sweep's close check.
-            if conn.close_after_flush {
-                if !flush_out(conn) {
-                    return false;
-                }
-                return !conn.out.is_empty();
-            }
-        }
-        if stopping && !conn.busy {
-            if conn.out.is_empty() {
-                return false;
-            }
-            conn.close_after_flush = true;
-            return true;
-        }
-        if !conn.busy && conn.out.is_empty() && conn.last_reply.elapsed() > self.idle_timeout {
-            return false;
-        }
-        true
-    }
-
-    /// Reads whatever the socket has (if the last poll said it has any),
-    /// then extracts and dispatches at most one message (one in flight per
-    /// connection).
-    fn pump(&mut self, index: usize, conn: &mut Connection, scratch: &mut [u8]) -> Pump {
-        while conn.readable {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    // Client closed; any partial message is dropped.
-                    return Pump::Close;
-                }
-                Ok(n) => {
-                    conn.inbox.push(&scratch[..n]);
-                    if n < scratch.len() {
-                        conn.readable = false;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => conn.readable = false,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Pump::Close,
-            }
-        }
-        while !conn.busy {
-            match conn.inbox.next() {
-                Ok(Some(message)) => self.dispatch_job(index, conn, message),
-                Ok(None) => break, // incomplete message: wait for more bytes
-                Err(error_reply) => {
-                    // Framing is lost: answer and close.
-                    self.state.errors.fetch_add(1, Ordering::Relaxed);
-                    conn.out.extend_from_slice(&error_reply);
-                    conn.close_after_flush = true;
-                    break;
-                }
-            }
-        }
-        Pump::Keep
-    }
-
-    fn dispatch_job(&mut self, index: usize, conn: &mut Connection, message: Message) {
-        conn.busy = true;
-        self.busy += 1;
-        if self.job_tx.send(Job { slot: index, epoch: conn.epoch, message }).is_err() {
-            conn.close_after_flush = true; // worker pool gone: drain what we have
-        }
-    }
-}
-
-enum Pump {
-    Keep,
-    Close,
-}
-
-/// Nonblocking write of a connection's queued output. Returns false on a
-/// dead socket.
-fn flush_out(conn: &mut Connection) -> bool {
-    while !conn.out.is_empty() {
-        match conn.stream.write(&conn.out) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.out.drain(..n);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    true
-}
-
-// ---------------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------------
-
-fn worker_loop(
-    jobs: &Arc<Mutex<Receiver<Job>>>,
-    completions: &Sender<Completion>,
-    waker: &UnixStream,
-    state: &Arc<ServerState>,
-) {
-    loop {
-        // `recv()` blocks holding the queue mutex, which merely serializes
-        // *dispatch* (idle workers queue on the lock); job handling below
-        // runs outside it.
-        let job = { jobs.lock().expect("job queue").recv() };
-        let Ok(job) = job else { return }; // event loop exited: drain done
-        let outcome = handle_job(job.message, state);
-        if completions.send(Completion { slot: job.slot, epoch: job.epoch, outcome }).is_err() {
-            return;
-        }
-        wake(waker);
-    }
-}
-
-/// Handles one message under `catch_unwind`: a panic anywhere in request
-/// handling (injected or organic) is contained to an `internal panic` reply
-/// on the owning connection; the daemon survives. The unwind is safe to
-/// catch — handlers hold no locks across the panic points (cache computes
-/// run outside the shard lock, and the single-flight guard repairs its
-/// entry during the unwind), and all shared state is atomics or
-/// lock-per-touch.
-///
-/// The fault hook sees one global request ordinal across both codecs, so a
-/// chaos script replays identically over either wire format.
-fn handle_job(message: Message, state: &Arc<ServerState>) -> Outcome {
-    let started = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Some(hook) = &state.fault_hook {
-            let index = state.request_seq.fetch_add(1, Ordering::Relaxed);
+    fn handle(&self, message: Message, (): &mut ()) -> Outcome {
+        let started = Instant::now();
+        if let Some(hook) = &self.fault_hook {
+            let index = self.request_seq.fetch_add(1, Ordering::Relaxed);
             match hook(FaultPoint::Request { index }) {
                 FaultAction::None => {}
                 FaultAction::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
-                FaultAction::Disconnect => return None,
+                FaultAction::Disconnect => return Outcome::Silent,
                 FaultAction::Panic => panic!("injected request fault (request {index})"),
             }
         }
-        Some(respond(&message, state))
-    }));
-    let reply = match outcome {
-        Ok(Some(reply)) => reply,
-        Ok(None) => return Outcome::Silent,
-        Err(_) => {
-            state.panics.fetch_add(1, Ordering::Relaxed);
-            PANIC_TOTAL.inc();
-            Reply::error("internal panic", true, None)
-        }
-    };
-    if reply.is_error() {
-        state.errors.fetch_add(1, Ordering::Relaxed);
+        let reply = respond(&message, self);
+        self.answered(reply, message.wire, started)
     }
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    let bytes = reply.encode(message.wire);
-    let (count, latency) = match message.wire {
-        Wire::Json => (&state.codec_json, &REQ_JSON_US),
-        Wire::Binary => (&state.codec_binary, &REQ_BINARY_US),
-    };
-    count.fetch_add(1, Ordering::Relaxed);
-    latency.record_duration_us(started.elapsed());
-    Outcome::Reply(bytes)
+
+    fn panicked(&self, wire: Wire, started: Instant) -> Outcome {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+        PANIC_TOTAL.inc();
+        self.answered(Reply::error("internal panic", true, None), wire, started)
+    }
+
+    fn framing_error(&self) {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn stop_flag(&self) -> &AtomicBool {
+        &self.stop
+    }
+
+    fn connections(&self) -> &AtomicU64 {
+        &self.connections
+    }
+}
+
+impl ServerState {
+    /// Counts and encodes one reply.
+    fn answered(&self, reply: Reply, wire: Wire, started: Instant) -> Outcome {
+        if reply.is_error() {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let bytes = reply.encode(wire);
+        let (count, latency) = match wire {
+            Wire::Json => (&self.codec_json, &REQ_JSON_US),
+            Wire::Binary => (&self.codec_binary, &REQ_BINARY_US),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        latency.record_duration_us(started.elapsed());
+        Outcome::Reply(bytes)
+    }
 }
 
 /// Decodes and handles one message, recording its op's latency. A search
 /// whose request fails to decode still counts as a search.
-fn respond(message: &Message, state: &Arc<ServerState>) -> Reply {
+fn respond(message: &Message, state: &ServerState) -> Reply {
     let started = Instant::now();
     let (op_latency, reply) = match message.decode() {
         Ok(op) => (Some(op.histogram()), handle(op, state, started)),
@@ -1011,7 +539,7 @@ fn respond(message: &Message, state: &Arc<ServerState>) -> Reply {
     reply
 }
 
-fn handle(op: Op, state: &Arc<ServerState>, started: Instant) -> Reply {
+fn handle(op: Op, state: &ServerState, started: Instant) -> Reply {
     match op {
         Op::Search(search) => handle_search(search, state, started),
         Op::Control(control) => {
@@ -1022,7 +550,7 @@ fn handle(op: Op, state: &Arc<ServerState>, started: Instant) -> Reply {
 
 /// Runs one search through the shared core. Failures map to their wire
 /// parts here, once for both codecs, so retryability verdicts cannot drift.
-fn handle_search(search: SearchOp, state: &Arc<ServerState>, started: Instant) -> Reply {
+fn handle_search(search: SearchOp, state: &ServerState, started: Instant) -> Reply {
     match run_search(&search.request, search.deadline_ms, search.trace, state) {
         Ok(SearchVerdict::Served(mut served)) => {
             served.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -1055,7 +583,7 @@ fn run_search(
     request: &SearchRequest,
     deadline_ms: Option<u64>,
     trace: bool,
-    state: &Arc<ServerState>,
+    state: &ServerState,
 ) -> codec::CodecResult<SearchVerdict> {
     // Re-encode canonically: the cache key is independent of the client's
     // field order, whitespace, and wire format.
@@ -1086,7 +614,7 @@ fn run_search_core(
     canonical: &str,
     hash: u64,
     deadline_ms: Option<u64>,
-    state: &Arc<ServerState>,
+    state: &ServerState,
 ) -> codec::CodecResult<SearchVerdict> {
     let _root = pte_telemetry::span("search");
 
@@ -1210,7 +738,7 @@ fn saturating_millis(d: Duration) -> u64 {
 /// from the wire: `hits + misses + coalesced + failures ==
 /// fetches + peek_hits`. Warm-start seeds sit outside the law (`seeded` is
 /// not a fetch; only the hits a seed later serves are counted).
-fn stats_json(state: &Arc<ServerState>) -> Json {
+fn stats_json(state: &ServerState) -> Json {
     let cache = state.cache.stats();
     let probe = pte_core::fisher::proxy::probe_cache_stats();
     let probe_lookups = probe.hits + probe.misses;
@@ -1303,24 +831,21 @@ fn render_grammar_coverage(out: &mut String) {
 }
 
 /// The `--metrics-every-ms` thread: appends one stats document per
-/// interval to a JSONL file, for offline plotting. Polls the stop flag at
-/// a bounded tick so shutdown joins promptly even with long intervals.
-fn metrics_snapshot_loop(state: &Arc<ServerState>, path: &std::path::Path, every: Duration) {
+/// interval to a JSONL file, for offline plotting, until the event loop
+/// exits (`exited` disconnects), so shutdown ends it at once.
+fn metrics_snapshot_loop(
+    state: &ServerState,
+    path: &std::path::Path,
+    every: Duration,
+    exited: &Receiver<()>,
+) {
     use std::io::Write as _;
     let Ok(file) = std::fs::OpenOptions::new().create(true).append(true).open(path) else {
         return;
     };
     let mut file = std::io::BufWriter::new(file);
     let every = every.max(Duration::from_millis(1));
-    let tick = every.min(Duration::from_millis(25));
-    let mut since = Duration::ZERO;
-    while !state.is_stopping() {
-        std::thread::sleep(tick);
-        since += tick;
-        if since < every {
-            continue;
-        }
-        since = Duration::ZERO;
+    while exited.recv_timeout(every) == Err(RecvTimeoutError::Timeout) {
         let line = stats_json(state).write().expect("uptime is finite");
         if writeln!(file, "{line}").and_then(|()| file.flush()).is_err() {
             return;

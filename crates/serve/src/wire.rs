@@ -31,7 +31,7 @@ use crate::json::Json;
 pub(crate) const MAX_LINE_BYTES: usize = MAX_FRAME_BYTES;
 
 /// The wire codec a connection speaks, fixed by its first byte.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Wire {
     /// One JSON document per line.
     Json,
@@ -60,6 +60,11 @@ impl Inbox {
     /// An inbox whose codec is known up front (a shard's replies).
     pub(crate) fn speaking(wire: Wire) -> Inbox {
         Inbox { buf: Vec::new(), wire: Some(wire) }
+    }
+
+    /// Whether no bytes are waiting to be cut into messages.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
 
     /// Appends bytes read from the connection.

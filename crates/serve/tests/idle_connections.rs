@@ -1,10 +1,14 @@
-//! Idle keep-alive connections cost the daemon sockets and slots, never
-//! threads. The only test in its binary on purpose: it compares this
+//! Idle keep-alive connections cost the daemon and the router sockets and
+//! slots, never threads, and connections that come and go leave nothing
+//! behind. The only test in its binary on purpose: it compares this
 //! process's thread count before and after parking connections, so sibling
 //! tests spawning their own daemons would make the count move under it.
 
+use std::net::SocketAddr;
+
 use pte_serve::client::Client;
 use pte_serve::codec::{LayerSpec, NetworkSpec, PlatformId, SearchRequest};
+use pte_serve::router::{route, RouterConfig};
 use pte_serve::server::{serve, ServerConfig};
 
 /// A one-class custom network: any cold search will do.
@@ -41,30 +45,42 @@ fn thread_count() -> Option<usize> {
     status.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|v| v.trim().parse().ok())
 }
 
+/// A client that has answered one ping; even `i` speaks JSON, odd binary.
+fn pinged(addr: SocketAddr, i: usize) -> Client {
+    let mut client = if i.is_multiple_of(2) {
+        Client::connect(addr).expect("connect json")
+    } else {
+        Client::connect_binary(addr).expect("connect binary")
+    };
+    client.ping().expect("ping");
+    client
+}
+
 #[test]
 fn idle_keep_alive_connections_cost_no_threads() {
     let handle = serve(&ServerConfig { workers: 2, cache_capacity: 64, ..ServerConfig::default() })
         .expect("bind ephemeral port");
-    let addr = handle.addr();
-
-    // Park a fleet of keep-alive connections, alternating codecs. Under
-    // the event loop each costs a socket and a slot — never a thread.
+    let router =
+        route(&RouterConfig { shards: vec![handle.addr().to_string()], ..RouterConfig::default() })
+            .expect("bind router port");
     let before = thread_count();
-    let mut parked: Vec<Client> = (0..256)
-        .map(|i| {
-            let mut c = if i % 2 == 0 {
-                Client::connect(addr).expect("connect json")
-            } else {
-                Client::connect_binary(addr).expect("connect binary")
-            };
-            c.ping().expect("parked ping");
-            c
-        })
-        .collect();
+
+    // Connections that come and go: each one closed must release its slot
+    // (and, under thread-per-client, would have left a thread behind).
+    for i in 0..256 {
+        drop(pinged(router.addr(), i));
+    }
+
+    // Park a fleet of keep-alive connections on each endpoint, alternating
+    // codecs. Under the event loop each costs a socket and a slot — never
+    // a thread.
+    let mut parked: Vec<Client> = (0..256).map(|i| pinged(handle.addr(), i)).collect();
+    let mut routed: Vec<Client> = (0..256).map(|i| pinged(router.addr(), i)).collect();
     if let (Some(before), Some(after)) = (before, thread_count()) {
         assert_eq!(
             before, after,
-            "256 idle connections must not grow the thread count ({before} -> {after})"
+            "256 churned and 2 x 256 idle connections must not grow the thread count \
+             ({before} -> {after})"
         );
     }
     assert!(
@@ -72,19 +88,27 @@ fn idle_keep_alive_connections_cost_no_threads() {
         "daemon must report the parked connections: {}",
         handle.state().connections()
     );
+    let stats = routed[0].stats().expect("router stats");
+    assert_eq!(
+        stats.get("connections").and_then(|v| v.as_u64()),
+        Some(256),
+        "router must report exactly its parked connections"
+    );
 
-    // The daemon still serves new work while holding the idle fleet...
+    // Both endpoints still serve new work while holding the idle fleet...
     let request = request();
-    let mut active = Client::connect(addr).expect("connect active");
-    let reply = active.search(&request).expect("search with 256 idle connections parked");
+    let mut active = Client::connect(router.addr()).expect("connect active");
+    let reply = active.search(&request).expect("search with 512 idle connections parked");
     assert!(!reply.cache_hit);
 
     // ...and every parked connection is still alive afterwards.
-    for client in parked.iter_mut() {
+    for client in parked.iter_mut().chain(routed.iter_mut()) {
         client.ping().expect("parked connection must survive");
     }
 
     drop(parked);
-    active.shutdown().expect("shutdown ack");
+    drop(routed);
+    active.shutdown().expect("router shutdown ack");
+    router.wait();
     handle.join();
 }
