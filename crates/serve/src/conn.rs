@@ -12,22 +12,18 @@
 //! The loop has no thread of its own: the pool's threads take turns running
 //! it (leader/followers, [`Pool`]). The thread running it cuts complete
 //! messages ([`crate::wire::Inbox`]), hands the loop to an idle thread, and
-//! answers the first message itself, writing the reply straight to the
-//! socket; the loop learns of the answer from a completion channel. At most
-//! one request per connection is in flight at a time — the loop stops
-//! extracting messages from a connection until its reply is queued — which
-//! preserves reply ordering under pipelining without any reordering
-//! machinery.
+//! answers the first message itself, so a request never waits for a second
+//! thread to wake. The answer travels back to the loop over a completion
+//! channel, with one byte written to the wake-up pair (as
+//! [`Core::shutdown`] also does). At most one request per connection is in
+//! flight at a time — the loop stops extracting messages from a connection
+//! until its reply is queued — which preserves reply ordering under
+//! pipelining without any reordering machinery.
 //!
-//! A connection is polled for writing while it has undelivered bytes, and
-//! for reading until it is muted. A connection with a request in flight
-//! stays in the poll set, so the client's next request wakes the loop, which
-//! then finds the answer's completion; no wake-up byte is needed. Once the
-//! loop sees such a connection ready before its answer is in (pipelined
-//! bytes or a hang-up, which a level-triggered poll would report on every
-//! call) it mutes it, and the answering thread writes one byte to the
-//! wake-up pair when done. So do answers the loop must act on (bytes left to
-//! flush, a connection to sever, a drain) and [`Core::shutdown`].
+//! While every thread is answering a request, nothing runs the loop: new
+//! connections wait in the listen backlog and new requests in their sockets
+//! until a thread is free. A handler must therefore not block without bound
+//! (the router bounds its backend reads).
 //!
 //! What a thread does with a message is the endpoint's [`Service`]: the
 //! daemon searches through its plan cache, the router forwards through its
@@ -40,7 +36,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -62,8 +58,9 @@ static CONNS_BUSY: LazyLock<Gauge> =
 static CONNS_IDLE: LazyLock<Gauge> =
     LazyLock::new(|| pte_telemetry::global().gauge("pte_connections_idle"));
 
-/// One endpoint's request handling, run on the core's threads.
-pub(crate) trait Service: Send + Sync + 'static {
+/// One endpoint's request handling, run on the core's threads. Public only
+/// so the endpoints' handles can name it; `conn` itself is private.
+pub trait Service: Send + Sync + 'static {
     /// Per-thread state, built once per core thread and rebuilt after a
     /// panic. The daemon's is `()`; the router's is its backend pool.
     type Worker: Default;
@@ -88,7 +85,7 @@ pub(crate) trait Service: Send + Sync + 'static {
 }
 
 /// What a handler produced for a message.
-pub(crate) enum Outcome {
+pub enum Outcome {
     /// Bytes to queue on the connection (a JSON line with its newline, or a
     /// complete binary frame).
     Reply(Vec<u8>),
@@ -96,9 +93,10 @@ pub(crate) enum Outcome {
     Silent,
 }
 
-/// A running core: its bound address, the service it drives, and its
-/// threads.
-pub(crate) struct Core<S: Service> {
+/// A running endpoint — a daemon ([`crate::server::ServerHandle`]) or a
+/// router ([`crate::router::Router`]): its bound address, its state, and
+/// its threads. Dropping it signals shutdown without waiting.
+pub struct Core<S: Service> {
     addr: SocketAddr,
     service: Arc<S>,
     waker: Arc<UnixStream>,
@@ -107,11 +105,13 @@ pub(crate) struct Core<S: Service> {
 
 impl<S: Service> Core<S> {
     /// The address the listener actually bound (resolves ephemeral ports).
-    pub(crate) fn addr(&self) -> SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    pub(crate) fn service(&self) -> &Arc<S> {
+    /// Shared state (counters, cache or fleet health), for in-process
+    /// observability.
+    pub fn state(&self) -> &Arc<S> {
         &self.service
     }
 
@@ -121,18 +121,26 @@ impl<S: Service> Core<S> {
     }
 
     /// Signals shutdown and wakes the event loop to act on it.
-    pub(crate) fn shutdown(&self) {
+    pub fn shutdown(&self) {
         self.service.stop_flag().store(true, Ordering::SeqCst);
         wake(&self.waker);
     }
 
-    /// Blocks until the event loop has drained and exited, then joins the
-    /// core's and adopted threads. Signals nothing: something else (a
-    /// `shutdown` op, [`Core::shutdown`]) has to stop the loop.
-    pub(crate) fn wait(&mut self) {
+    /// Blocks until the endpoint has drained — a `shutdown` op or
+    /// [`Core::shutdown`] stops it — then joins every thread. Signals
+    /// nothing itself.
+    pub fn wait(mut self) {
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
+    }
+
+    /// Signals shutdown and joins every thread (graceful: in-flight
+    /// requests finish, their replies are delivered, then everything
+    /// closes).
+    pub fn join(self) {
+        self.shutdown();
+        self.wait();
     }
 }
 
@@ -143,8 +151,9 @@ impl<S: Service> Drop for Core<S> {
 }
 
 /// Binds `addr` and starts `workers + 1` threads over `service`: as many
-/// as a dedicated loop thread and `workers` workers would be. Connections
-/// idle for longer than `idle_timeout` are closed.
+/// as a dedicated loop thread and `workers` workers would be, so up to
+/// `workers + 1` requests are answered at once. Connections idle for longer
+/// than `idle_timeout` are closed.
 ///
 /// The returned receiver disconnects when the event loop exits — after a
 /// drain — so a background thread can block on it instead of ticking.
@@ -227,35 +236,7 @@ struct Job {
     slot: usize,
     epoch: u64,
     message: Message,
-    socket: Arc<Socket>,
-    /// Nothing was queued on the socket and no bytes were waiting in its
-    /// inbox at dispatch. The loop writes nothing to the socket until this
-    /// job's completion, so the answering thread writes the reply itself
-    /// and the client does not wait for the loop; whatever the socket does
-    /// not take at once travels back in the completion. Otherwise the reply
-    /// travels back whole, and the loop is woken to send it and to cut the
-    /// next message.
-    direct: bool,
 }
-
-/// A connection's socket, shared with the thread answering its request.
-struct Socket {
-    stream: TcpStream,
-    /// Where the request in flight stands between the loop and the
-    /// answering thread: [`IN_FLIGHT`], [`ANSWERED`] or [`MUTED`].
-    state: AtomicU8,
-}
-
-/// The request's answer is not yet sent. The loop keeps polling the
-/// connection, so the client's next request or hang-up wakes the loop,
-/// which then finds the completion without a wake-up byte.
-const IN_FLIGHT: u8 = 0;
-/// The answering thread has sent its completion.
-const ANSWERED: u8 = 1;
-/// The loop saw the connection ready while its request was in flight and
-/// stopped polling it (a level-triggered poll would report it on every
-/// call): the answering thread must wake the loop when it is done.
-const MUTED: u8 = 2;
 
 /// The core's threads and what they share. There is no dedicated loop
 /// thread: the event loop is handed from thread to thread
@@ -337,14 +318,11 @@ struct Completion {
     slot: usize,
     epoch: u64,
     outcome: Outcome,
-    /// When the answer was sent: the connection's idle clock starts here,
-    /// however late the loop applies the completion.
-    at: Instant,
 }
 
 /// One connection owned by the event loop.
 struct Connection {
-    socket: Arc<Socket>,
+    stream: TcpStream,
     /// Inbound bytes not yet forming a complete message; fixes the
     /// connection's codec from its first byte.
     inbox: Inbox,
@@ -362,18 +340,17 @@ struct Connection {
     last_reply: Instant,
     /// Deliver `out`, then close (oversized line, broken framing, drain).
     close_after_flush: bool,
-    /// The loop muted the connection while its request is in flight.
-    muted: bool,
 }
 
 impl Connection {
     /// The events to poll this connection for; `0` leaves it out of the
-    /// poll set. Reads are wanted while messages may still be extracted or
-    /// a request in flight may have been answered (until the connection is
-    /// muted), writes only while bytes are queued.
+    /// poll set. Reads are wanted only while messages may still be
+    /// extracted, writes only while bytes are queued. A busy connection
+    /// with nothing to send is not polled at all: its hang-up would report
+    /// `POLLHUP` on every call and spin the loop until its reply lands.
     fn interest(&self) -> i16 {
         let mut events = 0;
-        if !self.close_after_flush && !self.muted {
+        if !self.busy && !self.close_after_flush {
             events |= POLLIN;
         }
         if !self.out.is_empty() {
@@ -461,8 +438,8 @@ impl<S: Service> EventLoop<S> {
 
     /// Blocks in `poll(2)` until a socket is ready, an answering thread or
     /// the handle writes to the wake-up pair, or the nearest idle deadline
-    /// passes, then marks the ready connections for the next pass (muting
-    /// busy ones) and drains the pair.
+    /// passes, then marks the ready connections for the next pass and
+    /// drains the pair.
     fn wait(&mut self, stopping: bool) {
         self.fds.clear();
         self.fd_slots.clear();
@@ -478,11 +455,9 @@ impl<S: Service> EventLoop<S> {
             if events == 0 {
                 continue;
             }
-            self.fds.push(PollFd::new(conn.socket.stream.as_raw_fd(), events));
+            self.fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
             self.fd_slots.push(index);
-            // A busy connection's deadline only makes the loop check on it:
-            // it mutes it then, and the answering thread wakes the loop.
-            if events & POLLIN != 0 && conn.out.is_empty() {
+            if !conn.busy && conn.out.is_empty() {
                 let left = self.idle_timeout.saturating_sub(conn.last_reply.elapsed());
                 timeout = Some(timeout.map_or(left, |t| t.min(left)));
             }
@@ -495,17 +470,12 @@ impl<S: Service> EventLoop<S> {
             return;
         }
         for (fd, &slot) in self.fds[first_conn..].iter().zip(&self.fd_slots) {
-            let Some(Some(conn)) = self.conns.get_mut(slot) else { continue };
             // Anything but bare writability (data, EOF, an error) is news
             // only a read can deliver.
-            let news = fd.revents & !POLLOUT != 0;
-            if !conn.busy {
-                conn.readable |= news;
-            } else if news || conn.last_reply.elapsed() >= self.idle_timeout {
-                // Answered already (the next pass applies the completion),
-                // or still in flight: then the answer brings a wake-up.
-                conn.muted = true;
-                conn.socket.state.swap(MUTED, Ordering::AcqRel);
+            if fd.revents & !POLLOUT != 0 {
+                if let Some(Some(conn)) = self.conns.get_mut(slot) {
+                    conn.readable = true;
+                }
             }
         }
         if self.fds[0].revents != 0 {
@@ -533,7 +503,7 @@ impl<S: Service> EventLoop<S> {
                     let epoch = self.next_epoch;
                     self.next_epoch += 1;
                     let conn = Connection {
-                        socket: Arc::new(Socket { stream, state: AtomicU8::new(IN_FLIGHT) }),
+                        stream,
                         inbox: Inbox::default(),
                         out: Vec::new(),
                         busy: false,
@@ -543,7 +513,6 @@ impl<S: Service> EventLoop<S> {
                         epoch,
                         last_reply: Instant::now(),
                         close_after_flush: false,
-                        muted: false,
                     };
                     let slot = self.free.pop().unwrap_or_else(|| {
                         self.conns.push(None);
@@ -577,11 +546,7 @@ impl<S: Service> EventLoop<S> {
                     current.out.extend_from_slice(&bytes);
                 }
                 current.busy = false;
-                current.muted = false;
-                // The reply usually went out from the answering thread, so
-                // the next request may be here already: read it this pass.
-                current.readable = true;
-                current.last_reply = completion.at;
+                current.last_reply = Instant::now();
                 self.busy = self.busy.saturating_sub(1);
                 if stopping {
                     // Drain contract: the reply is delivered, then the
@@ -602,7 +567,7 @@ impl<S: Service> EventLoop<S> {
         if !conn.busy && !conn.close_after_flush && !self.pump(index, conn) {
             return false;
         }
-        if !flush(&conn.socket.stream, &mut conn.out) {
+        if !flush(&conn.stream, &mut conn.out) {
             return false;
         }
         if conn.close_after_flush {
@@ -626,7 +591,7 @@ impl<S: Service> EventLoop<S> {
     /// connection). Returns false when the connection is gone.
     fn pump(&mut self, index: usize, conn: &mut Connection) -> bool {
         while conn.readable {
-            match (&conn.socket.stream).read(&mut self.scratch) {
+            match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
                     // Client closed; any partial message is dropped.
                     return false;
@@ -661,15 +626,7 @@ impl<S: Service> EventLoop<S> {
     fn dispatch_job(&mut self, index: usize, conn: &mut Connection, message: Message) {
         conn.busy = true;
         self.busy += 1;
-        // Published to the answering thread by the pool's lock.
-        conn.socket.state.store(IN_FLIGHT, Ordering::Relaxed);
-        self.dispatched.push_back(Job {
-            slot: index,
-            epoch: conn.epoch,
-            message,
-            socket: Arc::clone(&conn.socket),
-            direct: conn.out.is_empty() && conn.inbox.is_empty(),
-        });
+        self.dispatched.push_back(Job { slot: index, epoch: conn.epoch, message });
     }
 }
 
@@ -705,32 +662,17 @@ fn pool_thread<S: Service>(
     service: &S,
 ) {
     let mut worker = S::Worker::default();
-    while let Some(Job { slot, epoch, message, socket, direct }) = pool.next_job() {
+    while let Some(Job { slot, epoch, message }) = pool.next_job() {
         let (wire, started) = (message.wire, Instant::now());
         let handled = catch_unwind(AssertUnwindSafe(|| service.handle(message, &mut worker)));
-        let mut outcome = handled.unwrap_or_else(|_| {
+        let outcome = handled.unwrap_or_else(|_| {
             worker = S::Worker::default();
             service.panicked(wire, started)
         });
-        let delivered = match &mut outcome {
-            Outcome::Reply(bytes) if direct => {
-                // A dead socket keeps its bytes: the loop's flush closes it.
-                flush(&socket.stream, bytes);
-                bytes.is_empty()
-            }
-            Outcome::Reply(_) | Outcome::Silent => false,
-        };
-        if completions.send(Completion { slot, epoch, outcome, at: Instant::now() }).is_err() {
+        if completions.send(Completion { slot, epoch, outcome }).is_err() {
             return;
         }
-        // The swap orders against the loop's mute: one of the two sees the
-        // other. The loop needs waking for bytes to flush, a slot to free,
-        // a muted connection or a drain; otherwise the client's next
-        // request wakes it.
-        let muted = socket.state.swap(ANSWERED, Ordering::AcqRel) == MUTED;
-        if !delivered || muted || service.stop_flag().load(Ordering::SeqCst) {
-            wake(waker);
-        }
+        wake(waker);
     }
 }
 
@@ -784,7 +726,7 @@ mod tests {
     #[test]
     fn a_handler_panic_is_answered_and_the_connection_survives() {
         let service = Arc::new(Echo::default());
-        let (mut core, exited) =
+        let (core, exited) =
             spawn("127.0.0.1:0", Arc::clone(&service), 1, Duration::from_secs(60)).unwrap();
         let (stream, mut reader) = client(&core);
         let panic_reply = Reply::error("internal panic", true, None).encode(Wire::Json);
@@ -798,15 +740,14 @@ mod tests {
 
         // The drain closes the idle connection, the loop exits, and the
         // exit receiver disconnects.
-        core.shutdown();
-        core.wait();
+        core.join();
         assert_eq!(service.connections.load(Ordering::Relaxed), 0);
         assert!(exited.recv().is_err(), "the loop's exit must disconnect the receiver");
     }
 
     #[test]
     fn pipelined_and_early_requests_are_answered_without_waiting_for_a_timeout() {
-        let (mut core, _exited) =
+        let (core, _exited) =
             spawn("127.0.0.1:0", Arc::new(Echo::default()), 2, Duration::from_secs(60)).unwrap();
         let (stream, mut reader) = client(&core);
         // Two messages in one write: the second waits in the inbox, not in
@@ -814,14 +755,13 @@ mod tests {
         (&stream).write_all(b"a\nb\n").unwrap();
         assert_eq!(line(&mut reader), b"a\n");
         assert_eq!(line(&mut reader), b"b\n");
-        // A request sent while the previous one is still in flight makes
-        // the loop mute the connection; the late answer must wake it.
+        // A request sent while the previous one is still in flight waits
+        // in the socket; the late answer's wake-up must get it read.
         (&stream).write_all(b"slow\n").unwrap();
         std::thread::sleep(Duration::from_millis(20));
         (&stream).write_all(b"c\n").unwrap();
         assert_eq!(line(&mut reader), b"slow\n");
         assert_eq!(line(&mut reader), b"c\n");
-        core.shutdown();
-        core.wait();
+        core.join();
     }
 }

@@ -10,8 +10,10 @@
 //! * [`cache`] — sharded, bounded, LRU-ish plan cache with single-flight
 //!   deduplication of concurrent identical requests;
 //! * `conn` — the connection core both endpoints drive: one `poll(2)` event
-//!   loop owning every connection, a fixed worker pool, and the panic
-//!   containment that answers a handler panic with `internal panic`;
+//!   loop owning every connection, run in turn by a fixed thread pool, the
+//!   panic containment that answers a handler panic with `internal panic`,
+//!   and the handle both endpoints return ([`ServerHandle`] and [`Router`]
+//!   are the same type over different state);
 //! * [`server`] — the daemon on that core, speaking line-delimited JSON and
 //!   binary frames, with graceful shutdown, per-request deadlines, bounded
 //!   admission with load shedding, panic isolation, timing, and `stats` /

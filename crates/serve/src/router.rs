@@ -39,8 +39,8 @@
 //! "served by a non-primary replica", or "error surfaced to the client".
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, LazyLock, Mutex};
@@ -308,6 +308,7 @@ pub struct RouterState {
     hedge_after: Option<Duration>,
     trip_after: u32,
     cooloff: Duration,
+    probe_every: Duration,
     probe_timeout: Duration,
     /// Search requests accepted for routing.
     routed: AtomicU64,
@@ -428,48 +429,19 @@ impl RouterState {
 // Handle + bootstrap
 // ---------------------------------------------------------------------------
 
-/// A running router: bound address plus shutdown/join handles.
-pub struct Router {
-    core: Core<RouterState>,
-}
-
-impl Router {
-    /// The address the router actually bound (resolves ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
-        self.core.addr()
-    }
-
-    /// Shared state (counters + health), for in-process observability.
-    pub fn state(&self) -> &Arc<RouterState> {
-        self.core.service()
-    }
-
-    /// Signals shutdown and wakes the event loop to act on it.
-    pub fn shutdown(&self) {
-        self.core.shutdown();
-    }
-
-    /// Blocks until the router has drained — a `shutdown` op or
-    /// [`Router::shutdown`] stops it — then joins every thread.
-    pub fn wait(mut self) {
-        self.core.wait();
-    }
-
-    /// Signals shutdown and joins every thread.
-    pub fn join(self) {
-        self.shutdown();
-        self.wait();
-    }
-}
+/// A running router: its bound address, its state (counters and fleet
+/// health), and shutdown/join handles.
+pub type Router = Core<RouterState>;
 
 /// Starts the router: builds the ring, binds, spawns the connection core
 /// and the prober, and returns immediately.
 ///
-/// The worker pool is sized from the fleet: `shards × ServerConfig::default()
-/// .workers`. A router worker carries one forward at a time and a daemon
-/// runs at most its worker count of requests at once, so this many workers
-/// can keep every default-sized shard busy, and more would only queue
-/// inside the daemons.
+/// The worker count is sized from the fleet: `shards × ServerConfig::default()
+/// .workers`, so the core runs that many threads plus one. A router thread
+/// carries one forward at a time, and a default daemon answers at most its
+/// worker count plus one requests at once, so this many threads keep every
+/// default-sized shard about busy; more would only queue inside the
+/// daemons.
 ///
 /// # Errors
 /// Propagates bind failures; rejects an empty shard list.
@@ -489,6 +461,7 @@ pub fn route(config: &RouterConfig) -> io::Result<Router> {
         hedge_after: config.hedge_after,
         trip_after: config.trip_after.max(1),
         cooloff: config.cooloff,
+        probe_every: config.probe_every.max(Duration::from_millis(1)),
         probe_timeout: config.probe_timeout,
         routed: AtomicU64::new(0),
         forwarded: AtomicU64::new(0),
@@ -510,14 +483,14 @@ pub fn route(config: &RouterConfig) -> io::Result<Router> {
 
     // The first sweep runs at once; after that one per `probe_every`,
     // until the event loop exits and `exited` disconnects.
-    let probe_every = config.probe_every.max(Duration::from_millis(1));
+    let probe_every = state.probe_every;
     core.adopt(std::thread::spawn(move || {
         probe_sweep(&state);
         while exited.recv_timeout(probe_every) == Err(RecvTimeoutError::Timeout) {
             probe_sweep(&state);
         }
     }));
-    Ok(Router { core })
+    Ok(core)
 }
 
 /// One prober sweep: ping every shard that is due. Live shards get a
@@ -574,7 +547,7 @@ type Backends = HashMap<(usize, Wire), Backend>;
 
 /// A pooled backend connection (sticky per worker, lazily opened, dropped
 /// on the first I/O failure).
-pub(crate) struct Backend {
+pub struct Backend {
     stream: TcpStream,
     /// Reassembly of reply bytes, in the codec of the forwarded requests.
     inbox: Inbox,
@@ -590,8 +563,15 @@ impl Backend {
     /// One strict request/reply round trip: write the raw message bytes,
     /// read exactly one reply message (a JSON line or a binary frame,
     /// matching the bytes we forwarded), and return the reply verbatim.
-    fn round_trip(&mut self, raw: &[u8], timeout: Option<Duration>) -> io::Result<Vec<u8>> {
-        self.stream.set_read_timeout(timeout)?;
+    /// Each read waits at most `slice`; after one that brings nothing,
+    /// `give_up` decides whether to stop with `TimedOut`.
+    fn round_trip(
+        &mut self,
+        raw: &[u8],
+        slice: Duration,
+        give_up: impl Fn() -> bool,
+    ) -> io::Result<Vec<u8>> {
+        self.stream.set_read_timeout(Some(slice.max(Duration::from_millis(1))))?;
         self.stream.write_all(raw)?;
         let mut chunk = [0u8; 64 * 1024];
         loop {
@@ -610,6 +590,11 @@ impl Backend {
                     ))
                 }
                 Ok(n) => self.inbox.push(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if give_up() {
+                        return Err(io::Error::new(ErrorKind::TimedOut, "shard reply timed out"));
+                    }
+                }
                 Err(e) => return Err(e),
             }
         }
@@ -713,29 +698,40 @@ fn settle(state: &RouterState, candidates: &[usize], shard: usize, started: Inst
 /// fresh-connection retry when a *pooled* connection turns out stale (the
 /// daemon idle-closed it): a stale pool entry must not count as a shard
 /// failure.
+///
+/// The reply is awaited for at most [`FORWARD_CEILING`], and only while the
+/// shard's breaker is closed, checked once per probe interval: a worker
+/// blocked on a shard that accepts but never answers is released once the
+/// prober has ejected it, so a hung shard cannot pin the router's whole
+/// worker pool. The request's `deadline_ms` does not cut the read short:
+/// the daemon enforces it and answers `deadline` itself, and a healthy
+/// shard's late answer must not count as its failure.
 fn forward_once(
     state: &RouterState,
     backends: &mut Backends,
     shard: usize,
     message: &Message,
 ) -> io::Result<Vec<u8>> {
-    let addr = &state.slots[shard].addr;
+    let slot = &state.slots[shard];
+    let until = Instant::now() + FORWARD_CEILING;
+    let give_up = || Instant::now() >= until || slot.state() == ShardState::Down;
+    let addr = &slot.addr;
     let key = (shard, message.wire);
     let pooled = backends.contains_key(&key);
     if !pooled {
         backends.insert(key, Backend::connect(addr, message.wire)?);
     }
     let backend = backends.get_mut(&key).expect("just inserted");
-    match backend.round_trip(message.raw(), None) {
+    match backend.round_trip(message.raw(), state.probe_every, give_up) {
         Ok(reply) => Ok(reply),
         Err(e) => {
             backends.remove(&key);
-            if !pooled {
+            if !pooled || e.kind() == ErrorKind::TimedOut {
                 return Err(e);
             }
             // The pooled connection was stale; one fresh attempt.
             let mut fresh = Backend::connect(addr, message.wire)?;
-            let reply = fresh.round_trip(message.raw(), None)?;
+            let reply = fresh.round_trip(message.raw(), state.probe_every, give_up)?;
             backends.insert(key, fresh);
             Ok(reply)
         }
@@ -764,11 +760,11 @@ fn forward_hedged(
             let addr = state.slots[shard].addr.clone();
             let (raw, wire) = (message.raw().to_vec(), message.wire);
             // Bound the racer's read so an abandoned attempt cannot pin its
-            // thread forever: the budget when present, a generous cap otherwise.
-            let cap = budget.unwrap_or(Duration::from_secs(120));
+            // thread forever: the budget when present, the ceiling otherwise.
+            let cap = budget.unwrap_or(FORWARD_CEILING);
             std::thread::spawn(move || {
                 let result = Backend::connect(&addr, wire)
-                    .and_then(|mut backend| backend.round_trip(&raw, Some(cap)));
+                    .and_then(|mut backend| backend.round_trip(&raw, cap, || true));
                 let _ = tx.send((shard, result));
             });
         };
@@ -815,11 +811,11 @@ fn forward_hedged(
     }
 }
 
+/// How long a forward without a `deadline_ms` may wait for its reply.
+const FORWARD_CEILING: Duration = Duration::from_secs(120);
+
 fn remaining(started: Instant, budget: Option<Duration>) -> Duration {
-    match budget {
-        Some(b) => b.saturating_sub(started.elapsed()),
-        None => Duration::from_secs(120),
-    }
+    budget.unwrap_or(FORWARD_CEILING).saturating_sub(started.elapsed())
 }
 
 // ---------------------------------------------------------------------------
@@ -919,6 +915,7 @@ mod tests {
             hedge_after: None,
             trip_after,
             cooloff: Duration::from_millis(50),
+            probe_every: Duration::from_millis(50),
             probe_timeout: Duration::from_millis(50),
             routed: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),

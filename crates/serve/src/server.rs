@@ -29,13 +29,14 @@
 //!
 //! ## Threading
 //!
-//! The daemon runs on the connection core ([`crate::conn`]): one event-loop
-//! thread owning the listener and every connection, blocking in `poll(2)`,
-//! in front of a fixed worker pool. [`ServerState`] is the core's
-//! [`Service`]: a worker decodes a message, runs it through the request
-//! pipeline below and encodes the reply. At most one request per
-//! connection is in flight at a time, which preserves reply ordering under
-//! pipelining.
+//! The daemon runs on the connection core ([`crate::conn`]): one event loop
+//! owning the listener and every connection, blocking in `poll(2)`, taken
+//! in turn by a fixed pool of `workers + 1` threads (leader/followers: the
+//! thread that cuts a message hands the loop on and answers it).
+//! [`ServerState`] is the core's [`Service`]: a thread decodes a message,
+//! runs it through the request pipeline below and encodes the reply. At
+//! most one request per connection is in flight at a time, which preserves
+//! reply ordering under pipelining.
 //!
 //! ## Failure containment (unchanged contract)
 //!
@@ -50,8 +51,9 @@
 //!   leader wakes its waiters (one retries, the rest get the failure).
 //! * **Fault injection**: an optional [`FaultHook`] is consulted per
 //!   request and per cache-miss compute, *in the workers* — an injected
-//!   stall or panic pins one worker, never the event loop, so the daemon
-//!   keeps accepting and serving hits while a handler is wedged.
+//!   stall or panic pins one thread, and the event loop runs on the
+//!   others, so the daemon keeps accepting and serving hits while a
+//!   handler is wedged.
 //! * **Graceful drain**: shutdown stops accepting, lets in-flight requests
 //!   finish, delivers their replies, then closes everything and joins.
 //!
@@ -64,7 +66,6 @@
 //! from the first request.
 
 use std::fmt;
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -160,10 +161,9 @@ fn init_metrics() {
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads executing requests. The connection core runs one
-    /// thread more than this, and its threads take turns running the event
-    /// loop: searches, stalls and coalesced waits pin threads, and whichever
-    /// thread is free runs the loop, which never blocks on any of them.
+    /// Worker threads executing requests; the core runs one thread more,
+    /// and any free thread runs the event loop. Searches, stalls and
+    /// coalesced waits pin threads; the loop never blocks on any of them.
     pub workers: usize,
     /// Plan-cache entry capacity.
     pub cache_capacity: usize,
@@ -358,41 +358,9 @@ impl Drop for InflightSlot<'_> {
     }
 }
 
-/// A running server: its bound address plus shutdown/join handles.
-pub struct ServerHandle {
-    core: Core<ServerState>,
-}
-
-impl ServerHandle {
-    /// The address the server actually bound (resolves ephemeral ports).
-    pub fn addr(&self) -> SocketAddr {
-        self.core.addr()
-    }
-
-    /// Shared state (cache + counters), for in-process observability.
-    pub fn state(&self) -> &Arc<ServerState> {
-        self.core.service()
-    }
-
-    /// Signals shutdown and wakes the event loop to act on it.
-    pub fn shutdown(&self) {
-        self.core.shutdown();
-    }
-
-    /// Blocks until the daemon has drained — a `shutdown` op or
-    /// [`ServerHandle::shutdown`] stops it — then joins every thread.
-    pub fn wait(mut self) {
-        self.core.wait();
-    }
-
-    /// Signals shutdown and joins every thread (graceful: in-flight
-    /// requests finish, their replies are delivered, then everything
-    /// closes).
-    pub fn join(self) {
-        self.shutdown();
-        self.wait();
-    }
-}
+/// A running server: its bound address, its state, and shutdown/join
+/// handles.
+pub type ServerHandle = Core<ServerState>;
 
 /// Starts the server: opens the plan log (if configured) and replays it
 /// into the cache, binds, spawns the event loop and the worker pool, and
@@ -459,7 +427,7 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
             metrics_snapshot_loop(&state, &path, every, &exited)
         }));
     }
-    Ok(ServerHandle { core })
+    Ok(core)
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ pub(crate) const MAX_LINE_BYTES: usize = MAX_FRAME_BYTES;
 
 /// The wire codec a connection speaks, fixed by its first byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Wire {
+pub enum Wire {
     /// One JSON document per line.
     Json,
     /// Length-prefixed [`codec_bin`] frames.
@@ -40,7 +40,7 @@ pub(crate) enum Wire {
 }
 
 /// One complete message, kept as the exact bytes that arrived.
-pub(crate) struct Message {
+pub struct Message {
     /// The codec that carried it.
     pub(crate) wire: Wire,
     /// A JSON line with its newline, or a whole frame.
@@ -60,11 +60,6 @@ impl Inbox {
     /// An inbox whose codec is known up front (a shard's replies).
     pub(crate) fn speaking(wire: Wire) -> Inbox {
         Inbox { buf: Vec::new(), wire: Some(wire) }
-    }
-
-    /// Whether no bytes are waiting to be cut into messages.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Appends bytes read from the connection.

@@ -16,13 +16,17 @@
 //!   shard is marked `down` within the breaker's bounded ejection time;
 //! * a hung shard is ejected by the probe plane and **re-admitted** by a
 //!   half-open probe once it recovers;
-//! * a hedged search beats a stalled primary by winning on the replica.
+//! * a hedged search beats a stalled primary by winning on the replica;
+//! * a shard that accepts but never answers cannot pin the router's fixed
+//!   thread pool: once the prober ejects it, the pinned forwards fail over
+//!   and the router answers `ping` again.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use pte_serve::client::Client;
 use pte_serve::codec::{self, SearchRequest};
 use pte_serve::fault::{FaultAction, FaultHook, FaultPoint, ShardFaultScript};
 use pte_serve::json::fnv1a64;
@@ -417,5 +421,69 @@ fn hedged_search_beats_a_stalled_primary_on_the_replica() {
 
     drop(client);
     router.join();
+    fleet.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// A hung shard and the router's thread pool
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_hung_shard_cannot_pin_the_router_thread_pool() {
+    // Shard 0 is a listener nobody serves: connects complete in the kernel
+    // backlog, and every forward sent to it waits for a reply that never
+    // comes. Shard 1 is a real daemon.
+    let hung = std::net::TcpListener::bind("127.0.0.1:0").expect("bind hung shard");
+    let fleet = Fleet::boot(1);
+    let addrs =
+        vec![hung.local_addr().expect("hung shard addr").to_string(), fleet.addrs[0].clone()];
+    let (request, expected) = request_primaried_on(&HashRing::build(&addrs, VNODES), 0);
+    // A slow breaker (about a second to trip) so the forwards pin the pool
+    // while the hung shard still counts as live.
+    let router = route(&RouterConfig {
+        shards: addrs.clone(),
+        replicas: 2,
+        vnodes: VNODES,
+        probe_every: Duration::from_millis(200),
+        probe_timeout: Duration::from_millis(200),
+        trip_after: 3,
+        cooloff: Duration::from_secs(30),
+        ..RouterConfig::default()
+    })
+    .expect("bind router port");
+
+    // More concurrent forwards than the router has threads
+    // (shards × ServerConfig::default().workers, plus one).
+    let pool = addrs.len() * ServerConfig::default().workers + 1;
+    let searches: Vec<_> = (0..pool + 3)
+        .map(|_| {
+            let (addr, request) = (router.addr(), request.clone());
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect router");
+                client.set_timeout(Some(Duration::from_secs(20))).expect("client timeout");
+                client.search(&request).map(|reply| reply.payload_canonical)
+            })
+        })
+        .collect();
+    assert!(
+        wait_until(Duration::from_secs(5), || router.state().routed() >= pool as u64),
+        "the forwards never pinned the pool"
+    );
+
+    let mut ping = Client::connect(router.addr()).expect("connect router");
+    ping.set_timeout(Some(Duration::from_secs(10))).expect("client timeout");
+    ping.ping().expect("the router must answer ping while a shard hangs");
+    assert_eq!(router.state().shard_state(0), ShardState::Down, "the hung shard was not ejected");
+    for search in searches {
+        let payload = search.join().expect("client thread").expect("search fails over");
+        assert_eq!(payload, expected, "failed-over payload diverged");
+    }
+    let state = router.state();
+    assert_eq!(state.failovers(), (pool + 3) as u64, "every search is served by the replica");
+    assert!(state.is_conserved());
+
+    drop(ping);
+    router.join();
+    drop(hung);
     fleet.shutdown();
 }
