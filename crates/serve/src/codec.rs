@@ -8,8 +8,8 @@
 //! key. A plan payload is encoded once, cached as bytes, and served
 //! verbatim — byte-identical across cold, warm, and single-flight-coalesced
 //! responses, and byte-identical to what a direct in-process search encodes
-//! (`serve/tests/serve_e2e.rs` and the `perf_report` serve section pin
-//! both).
+//! (`serve/tests/serve_e2e.rs` pins both; perfbench checks every served
+//! reply against the in-process digest).
 //!
 //! Schema versioning: every request and payload carries `"v":1`; decoding
 //! rejects other versions, unknown fields, and structurally invalid

@@ -1040,18 +1040,19 @@ mod tests {
 
     #[test]
     fn payload_round_trips_bit_identically_and_packs_smaller() {
-        let request = tiny_request();
-        let canonical = codec::execute(&request).unwrap();
-        let payload = PlanPayload::parse(&canonical).unwrap();
-        let body = encode_payload(&payload).unwrap();
-        let decoded = decode_payload(&body).unwrap();
-        assert_eq!(decoded.encode().unwrap(), canonical, "binary round-trip changed the bytes");
-        assert!(
-            body.len() * 4 <= canonical.len(),
-            "binary payload {} bytes vs JSON {} — expected at least 4x smaller",
-            body.len(),
-            canonical.len()
-        );
+        for request in [tiny_request(), crate::workload::bench_request(1)] {
+            let canonical = codec::execute(&request).unwrap();
+            let payload = PlanPayload::parse(&canonical).unwrap();
+            let body = encode_payload(&payload).unwrap();
+            let decoded = decode_payload(&body).unwrap();
+            assert_eq!(decoded.encode().unwrap(), canonical, "binary round-trip changed the bytes");
+            assert!(
+                body.len() * 4 <= canonical.len(),
+                "binary payload {} bytes vs JSON {} — expected at least 4x smaller",
+                body.len(),
+                canonical.len()
+            );
+        }
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!   scripts ([`fault::FaultyStream`]) and the server's injectable handler
 //!   hook, driving the chaos suite.
 //!
-//! The load-bearing contract, pinned by `tests/serve_e2e.rs` and the
-//! `perf_report` serve section: **a plan served over TCP — cold, warm, or
+//! The load-bearing contract, pinned by `tests/serve_e2e.rs` and checked
+//! on every perfbench reply: **a plan served over TCP — cold, warm, or
 //! coalesced under concurrent duplicates — is byte-identical after codec
 //! round-trip to the plan a direct in-process `unified::optimize` produces
 //! for the same request.** Everything the service adds (caching, sharding,

@@ -1,8 +1,9 @@
-//! The shared serving benchmark workload.
+//! The shared serving workload.
 //!
-//! `serve_bench` and the `perf_report` serve section must measure the same
-//! thing — a drifted copy would quietly make the CI smoke and the perf
-//! harness disagree — so the network and request budget live here once.
+//! perfbench's request generator, the `wire_golden` fixtures, the chaos
+//! suites and the codec unit tests all send this network at this budget.
+//! The golden bytes and the benchmark's cache keys depend on every field,
+//! so it lives here once and must not drift.
 
 use crate::codec::{LayerSpec, NetworkSpec, PlatformId, SearchRequest};
 

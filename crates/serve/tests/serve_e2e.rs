@@ -2,8 +2,8 @@
 //! over TCP — cold cache, warm cache, and under concurrent duplicate
 //! requests — is byte-identical after codec round-trip to the plan a direct
 //! in-process unified search produces. This is the serving layer's
-//! acceptance contract; the `perf_report` serve section asserts the same
-//! property on every run.
+//! acceptance contract; perfbench checks the same property on every
+//! reply it receives.
 
 use pte_core::machine::Platform;
 use pte_core::search::unified;
@@ -266,6 +266,7 @@ fn metrics_op_serves_prometheus_text_over_both_codecs() {
         // request plane
         "pte_request_search_us",
         "pte_request_json_us",
+        "pte_request_binary_us",
         "pte_shed_total",
         "pte_deadline_total",
         "pte_panic_total",

@@ -9,7 +9,9 @@
 //! threads and join the request's trace through the wave's fork/graft. An
 //! externally set `PTE_THREADS` is honoured (CI loops it over several
 //! values), otherwise it is pinned to 2 — in its own test binary with a
-//! single `#[test]`, where pinning the env var races nothing.
+//! single `#[test]`, where pinning the env var races nothing. For the same
+//! reason the process-global telemetry registry sees only this test's
+//! daemon, so its request counts are exact.
 
 use pte_serve::client::Client;
 use pte_serve::codec::{self, NetworkSpec, PlatformId, SearchRequest};
@@ -128,6 +130,14 @@ fn traced_requests_return_stage_spans_without_perturbing_payloads() {
     let json_warm = plain.search(&fresh).expect("json duplicate of binary-traced search");
     assert!(json_warm.cache_hit);
     assert_eq!(json_warm.payload_canonical, bin_cold.payload_canonical);
+
+    // Count conservation, end to end: the search-latency histogram recorded
+    // exactly the five searches sent above, over both codecs.
+    assert_eq!(
+        pte_telemetry::global().histogram("pte_request_search_us").count(),
+        5,
+        "pte_request_search_us must count exactly the searches sent"
+    );
 
     handle.join();
 }

@@ -4,7 +4,7 @@
 //! sub-buckets per power-of-two octave up to `u64::MAX` — 976 buckets
 //! total, relative error ≤ 1/16. Recording is one `fetch_add` on the
 //! bucket plus count/sum/max updates, all `Relaxed` atomics; reads
-//! (percentiles, snapshots, merges) tolerate racing writers by clamping
+//! (percentiles, snapshots) tolerate racing writers by clamping
 //! rather than panicking.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,8 +66,7 @@ pub struct HistogramSnapshot {
 }
 
 /// Cheaply clonable handle to a shared histogram (all clones record into
-/// the same buckets). `Histogram::new()` makes a standalone instance —
-/// `serve_bench` keeps one per client thread and merges at the end —
+/// the same buckets). `Histogram::new()` makes a standalone instance,
 /// while [`crate::Registry::histogram`] hands out registered ones.
 #[derive(Clone)]
 pub struct Histogram {
@@ -143,27 +142,9 @@ impl Histogram {
 
     /// Sum of all bucket counts. Equals [`Histogram::count`] whenever no
     /// writer is mid-record — the conservation law the edge-case suite
-    /// pins, including across merges and `u64::MAX` saturation.
+    /// pins, including under `u64::MAX` saturation.
     pub fn bucket_total(&self) -> u64 {
         self.inner.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Adds every bucket of `other` into `self` (count conservation:
-    /// merged count == sum of input counts). `other` keeps its samples.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.inner.buckets.iter().zip(other.inner.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.inner.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.inner.max.fetch_max(other.max(), Ordering::Relaxed);
-        let osum = other.sum();
-        let _ = self
-            .inner
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(s.saturating_add(osum)));
     }
 
     /// Nearest-rank percentile estimate: the upper bound of the bucket

@@ -19,8 +19,8 @@
 //!    (the `metrics`/`stats` ops), never on a recording hot path.
 //! 3. **Exact count conservation.** Every recorded sample lands in
 //!    exactly one histogram bucket: the sum of bucket counts equals the
-//!    total count, merges preserve it, and `u64::MAX` saturates into the
-//!    top bucket instead of being dropped.
+//!    total count, and `u64::MAX` saturates into the top bucket instead of
+//!    being dropped.
 //!
 //! Bucketing is log-linear: values below 16 get exact unit buckets, and
 //! each power-of-two octave above splits into 16 linear sub-buckets, so
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Disables (or re-enables) histogram and span recording process-wide.
-/// Used by `perf_report` to price the enabled-vs-disabled warm path.
+/// `telemetry_parity.rs` uses it to pin that recording never changes a plan.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
