@@ -136,11 +136,6 @@ impl IterVar {
     pub fn set_annotation(&mut self, annotation: IterAnnotation) {
         self.annotation = annotation;
     }
-
-    /// Renames the iterator (used when deriving split halves).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
 }
 
 impl fmt::Display for IterVar {

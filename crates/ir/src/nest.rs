@@ -326,11 +326,6 @@ impl LoopNest {
         &self.stmts
     }
 
-    /// Mutable statements (transformations only).
-    pub fn stmts_mut(&mut self) -> &mut [Stmt] {
-        &mut self.stmts
-    }
-
     /// Tensor declarations.
     pub fn tensors(&self) -> &[TensorDecl] {
         &self.tensors

@@ -85,11 +85,6 @@ impl Network {
         &self.convs
     }
 
-    /// The layers the search may restructure.
-    pub fn mutable_convs(&self) -> impl Iterator<Item = &ConvLayer> {
-        self.convs.iter().filter(|l| l.mutable)
-    }
-
     /// Classifier input features (output of global average pooling).
     pub fn classifier_in(&self) -> usize {
         self.classifier_in

@@ -1,10 +1,10 @@
 //! End-to-end determinism across GEMM backends: a full unified search with
 //! the SIMD micro-kernel path forced **on** must produce bit-identical
-//! stats and plan to the same search with it forced **off** (packed scalar)
-//! — and to the legacy blocked path. This is the system-level face of the
-//! kernel bit-identity contract (`tensor/tests/gemm_kernel_parity.rs` pins
-//! the per-kernel version): Fisher probe scores flow through GEMM into
-//! legality decisions, survivor sets and the final plan, so a single
+//! stats and plan to the same search with it forced **off** (the portable
+//! packed kernel). This is the system-level face of the kernel bit-identity
+//! contract (`tensor/tests/gemm_kernel_parity.rs` pins the per-kernel
+//! version): Fisher probe scores flow through GEMM into legality
+//! decisions, survivor sets and the final plan, so a single
 //! diverging bit anywhere in the kernels would surface here as a different
 //! search outcome.
 //!
@@ -16,8 +16,8 @@
 //! kernel divergence rather than cause one.
 //!
 //! On machines without AVX2, forcing `PackedSimd` resolves to the scalar
-//! micro-kernel (documented fallback) and the test degrades to
-//! scalar-vs-blocked parity — still a real pin for that hardware.
+//! micro-kernel (documented fallback) and the test degrades to a
+//! run-to-run determinism check of the portable kernel.
 
 use pte_fisher::proxy::clear_probe_cache;
 use pte_machine::Platform;
@@ -37,7 +37,7 @@ fn unified_search_is_bit_identical_across_gemm_backends() {
     let platform = Platform::intel_i7();
 
     let mut outcomes = Vec::new();
-    for backend in [GemmBackend::PackedSimd, GemmBackend::PackedScalar, GemmBackend::Blocked] {
+    for backend in [GemmBackend::PackedSimd, GemmBackend::PackedScalar] {
         set_gemm_backend(backend);
         clear_probe_cache();
         outcomes.push((backend, optimize(&net, &platform, &options)));

@@ -94,14 +94,6 @@ impl Json {
         }
     }
 
-    /// The value as an i64, if it is an integer literal.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

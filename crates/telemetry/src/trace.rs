@@ -22,6 +22,8 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
+use crate::Histogram;
+
 /// Upper bound on nodes attached to one trace; beyond it new nodes are
 /// counted in [`TraceReport::truncated`] instead of growing the tree
 /// (a generous search can open thousands of stage spans).
@@ -69,6 +71,10 @@ struct TraceState {
 
 thread_local! {
     static ACTIVE: RefCell<Option<TraceState>> = const { RefCell::new(None) };
+    /// Each span name's `pte_span_<name>_us` histogram, looked up in the
+    /// registry once per thread so span drops stay lock-free.
+    static SPAN_HISTOGRAMS: RefCell<Vec<(&'static str, Histogram)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 /// splitmix64 — the same mixing function `pte_tensor::rng::derive_seed`
@@ -272,8 +278,8 @@ pub struct Span {
     traced: bool,
 }
 
-/// Opens a span. Never takes a lock unless this is the first time the
-/// span name is seen process-wide (registry registration) — and spans
+/// Opens a span. Neither opening nor closing takes a lock, except the
+/// first close of a span name on a thread (registry lookup) — and spans
 /// only run on worker/driver threads, never the serve event loop.
 pub fn span(name: &'static str) -> Span {
     let traced = ACTIVE.with(|a| {
@@ -293,9 +299,18 @@ impl Drop for Span {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
         if crate::enabled() {
-            crate::global()
-                .histogram(&format!("pte_span_{}_us", self.name))
-                .record_always(saturating_us(elapsed));
+            SPAN_HISTOGRAMS.with(|cache| {
+                let mut cache = cache.borrow_mut();
+                let ix = match cache.iter().position(|(name, _)| *name == self.name) {
+                    Some(ix) => ix,
+                    None => {
+                        let name = format!("pte_span_{}_us", self.name);
+                        cache.push((self.name, crate::global().histogram(&name)));
+                        cache.len() - 1
+                    }
+                };
+                cache[ix].1.record_always(saturating_us(elapsed));
+            });
         }
         if self.traced {
             ACTIVE.with(|a| {

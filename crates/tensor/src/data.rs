@@ -64,11 +64,6 @@ impl SyntheticDataset {
         SyntheticDataset { name: "cifar10-proxy", classes: 10, channels: 3, resolution: 8, seed }
     }
 
-    /// Scaled-down ImageNet proxy (3×16×16, 100 classes).
-    pub fn imagenet_proxy(seed: u64) -> Self {
-        SyntheticDataset { name: "imagenet-proxy", classes: 100, channels: 3, resolution: 16, seed }
-    }
-
     /// A fully custom dataset.
     ///
     /// # Errors

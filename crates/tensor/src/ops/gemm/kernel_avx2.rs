@@ -4,8 +4,8 @@
 //! the whole `k` extent. Per k-step: one contiguous [`NR`]-wide load from the
 //! packed B panel, eight scalar broadcasts from the packed A micro-panel, and
 //! eight vector multiply + add pairs — `C` is touched exactly twice (load at
-//! tile entry, store at exit), which is what removes the per-k-step
-//! load/store traffic on `C` that bounds the legacy blocked loops.
+//! tile entry, store at exit), instead of once per k-step as in a
+//! broadcast-AXPY loop.
 //!
 //! ## Why `vmulps + vaddps`, not `vfmaddps`
 //!
@@ -15,8 +15,8 @@
 //! the tree. The workspace's determinism contract — SIMD and scalar paths
 //! bit-identical in every configuration, pinned by `gemm_kernel_parity` and
 //! the full-search `simd_plan_parity` suites — is worth more here than FMA's
-//! extra issue width: the blocked baseline this kernel replaces was bound by
-//! `C` traffic, not multiply throughput. Rust emits no fast-math flags, so
+//! extra issue width: the loops this kernel replaced were bound by `C`
+//! traffic, not multiply throughput. Rust emits no fast-math flags, so
 //! LLVM will not contract these intrinsics behind our back.
 //!
 //! The eight accumulator chains are independent, which is also what hides the

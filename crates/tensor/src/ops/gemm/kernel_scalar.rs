@@ -8,9 +8,9 @@
 //!
 //! ## The bit-identity contract
 //!
-//! Every GEMM kernel in this module tree — AVX2, this one, the legacy blocked
-//! loops, and the naive triple loop — must produce **bit-identical** `C`.
-//! That holds because all of them:
+//! Both GEMM kernels in this module tree — AVX2 and this one — must produce
+//! `C` **bit-identical** to the naive triple loop. That holds because all
+//! three:
 //!
 //! * accumulate each `C[i][j]` over `p = 0..k` in ascending order, and
 //! * use an *unfused* multiply-then-add per step (no `mul_add`/FMA, which

@@ -1,5 +1,5 @@
-//! Single-precision matrix multiplication: packed-panel SIMD micro-kernels
-//! with a layered fallback tree.
+//! Single-precision matrix multiplication: packed-panel register-blocked
+//! micro-kernels, AVX2 where the CPU has it and portable otherwise.
 //!
 //! This is the compute backbone of the im2col convolution path (see
 //! [`super::im2col`]) and the Fisher probe scheduler: all three product
@@ -9,27 +9,26 @@
 //! * [`gemm_nt`]  — `C += A·Bᵀ`  (backward:  `dW = dO · col(I)ᵀ`)
 //! * [`gemm_tn`]  — `C += Aᵀ·B`  (backward:  `d col(I) = Wᵀ · dO`)
 //!
-//! ## The kernel dispatch tree
+//! ## Kernel dispatch
 //!
 //! ```text
-//! gemm_nn / gemm_nt / gemm_tn / gemm_nn_batch
-//!   │  forced backend? (set_gemm_backend / PTE_GEMM_KERNEL)
-//!   │  else: problem large enough to amortise packing?
-//!   ├─► packed micro-kernel path                    [pack.rs]
-//!   │     runtime is_x86_feature_detected!("avx2")?
-//!   │     ├─► 8×8 AVX2 register-blocked tiles       [kernel_avx2.rs]
-//!   │     │   (ragged tiles too, through a stack tile)
-//!   │     └─► portable register-blocked tiles       [kernel_scalar.rs]
-//!   └─► legacy cache-blocked loops (PR 1)           [gemm_*_blocked]
+//! gemm_nn / gemm_nt / gemm_nt_seeded / gemm_tn / gemm_nn_batch
+//!   │  pack B once (per wave in gemm_nn_batch), A per row band   [pack.rs]
+//!   │  use_simd: per-call backend, else set_gemm_backend, else
+//!   │  PTE_GEMM_KERNEL, else runtime is_x86_feature_detected!("avx2")
+//!   ├─► 8×8 AVX2 register-blocked tiles       [kernel_avx2.rs]
+//!   │   (ragged tiles too, through a stack tile)
+//!   └─► portable register-blocked tiles       [kernel_scalar.rs]
 //! ```
 //!
-//! The packed path packs the shared `B` operand **once per GEMM** into
-//! NR-column panels — and once per *wave* in [`gemm_nn_batch`], where the
-//! Fisher probe scheduler runs dozens of weight matrices against one lowered
-//! patch matrix — and packs `A` micro-panels per row band. Micro-kernels then
-//! keep an `MR×NR` tile of `C` in registers across the whole `k` extent, so
-//! `C` is loaded and stored exactly once per tile instead of once per k-step
-//! (the traffic that bounds the blocked loops).
+//! Every product takes the packed path, whatever its size. `B` is packed
+//! **once per GEMM** into NR-column panels — and once per *wave* in
+//! [`gemm_nn_batch`], where the Fisher probe scheduler runs dozens of weight
+//! matrices against one lowered patch matrix — and `A` into micro-panels per
+//! row band. Micro-kernels then keep an `MR×NR` tile of `C` in registers
+//! across the whole `k` extent, so `C` is loaded and stored exactly once per
+//! tile instead of once per k-step. The portable kernel is the reference the
+//! AVX2 kernel is held bit-identical to.
 //!
 //! ## Bit-identity contract
 //!
@@ -37,9 +36,9 @@
 //! accumulates its `k` products in ascending `p` order with unfused
 //! multiply-then-add (see `kernel_scalar.rs` for the full argument, and
 //! `kernel_avx2.rs` for why FMA is deliberately not used). Dispatch decisions
-//! — runtime feature detection, size heuristics, forced backends — therefore
-//! never change results, only speed; `tensor/tests/gemm_kernel_parity.rs`
-//! pins this across backends and odd shapes, and `search/tests/
+//! — runtime feature detection, forced backends — therefore never change
+//! results, only speed; `tensor/tests/gemm_kernel_parity.rs` pins this across
+//! backends and odd shapes against naive triple loops, and `search/tests/
 //! simd_plan_parity.rs` pins it end-to-end through the full unified search.
 //!
 //! Parallelism comes from the workspace `rayon` shim: rows of `C` are
@@ -62,19 +61,13 @@ pub use pack::{MR, NR};
 
 use pack::{pack_a, pack_a_t, pack_b, pack_b_t, packed_a_len, packed_b_len};
 
-/// k-panel height of the legacy blocked path: `KC × n` of `B` (~64 KiB at
-/// n = 256) stays cache-resident.
-const KC: usize = 256;
 /// Rows of `C` per parallel band (a multiple of [`MR`], so bands contain no
 /// ragged micro-panels).
 const MC: usize = 64;
-/// Minimum multiply–accumulate count before `Auto` dispatch pays for packing;
-/// below it the legacy blocked loops win on setup cost.
-const PACKED_MIN_MACS: usize = 1 << 13;
 
 /// How a micro-kernel's accumulators relate to the existing `C` values —
-/// chosen per product shape to reproduce the accumulation chain each legacy
-/// loop has always had (the bit-identity contract).
+/// chosen per product shape to reproduce the accumulation chain of the naive
+/// loop for that shape (the bit-identity contract).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Acc {
     /// Accumulators start from the current `C` tile and are stored back
@@ -85,27 +78,24 @@ pub(super) enum Acc {
     Deferred,
 }
 
-/// Which GEMM implementation executes a call. Process-global selection via
+/// Which micro-kernel executes a call. Process-global selection via
 /// [`set_gemm_backend`] (or the `PTE_GEMM_KERNEL` environment variable:
-/// `auto` / `simd` / `scalar` / `blocked`), per-call via the `*_with`
-/// entry points. All backends are bit-identical; selection is purely a
-/// performance (and test-coverage) choice.
+/// `auto` / `simd` / `scalar`), per-call via the `*_with` entry points. All
+/// backends are bit-identical; selection is purely a performance (and
+/// test-coverage) choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmBackend {
-    /// Runtime choice: packed SIMD where the CPU supports it and the problem
-    /// amortises packing, packed scalar on non-AVX2 hardware, legacy blocked
-    /// loops for tiny problems.
+    /// Defer to the next level of the precedence (see [`use_simd`]): the
+    /// AVX2 kernel where the CPU has it, the portable kernel otherwise.
     #[default]
     Auto,
     /// Packed panels + AVX2 register-blocked micro-kernels. Falls back to
     /// [`GemmBackend::PackedScalar`] (documented, silent) when the CPU lacks
     /// AVX2, so forcing it is always safe.
     PackedSimd,
-    /// Packed panels + the portable register-blocked micro-kernel.
+    /// Packed panels + the portable register-blocked micro-kernel: the
+    /// bit-identity reference.
     PackedScalar,
-    /// The PR 1 cache-blocked loops, kept as the benchmark baseline and the
-    /// small-problem fallback.
-    Blocked,
 }
 
 impl GemmBackend {
@@ -114,7 +104,6 @@ impl GemmBackend {
             GemmBackend::Auto => 0,
             GemmBackend::PackedSimd => 1,
             GemmBackend::PackedScalar => 2,
-            GemmBackend::Blocked => 3,
         }
     }
 
@@ -122,7 +111,6 @@ impl GemmBackend {
         match v {
             1 => GemmBackend::PackedSimd,
             2 => GemmBackend::PackedScalar,
-            3 => GemmBackend::Blocked,
             _ => GemmBackend::Auto,
         }
     }
@@ -131,7 +119,7 @@ impl GemmBackend {
 static FORCED_BACKEND: AtomicU8 = AtomicU8::new(0);
 
 /// Forces every subsequent GEMM (process-wide) onto one backend, overriding
-/// both `Auto` heuristics and `PTE_GEMM_KERNEL`. Pass [`GemmBackend::Auto`]
+/// `PTE_GEMM_KERNEL` and AVX2 detection. Pass [`GemmBackend::Auto`]
 /// to restore normal dispatch. Intended for benchmarks and the parity test
 /// suites; results are bit-identical either way.
 pub fn set_gemm_backend(backend: GemmBackend) {
@@ -145,7 +133,7 @@ pub fn gemm_backend() -> GemmBackend {
 }
 
 /// Whether the AVX2 micro-kernel can run on this CPU (always `false` off
-/// x86-64). Runtime-detected once; this is the root of the dispatch tree.
+/// x86-64). Runtime-detected once; the last word in [`use_simd`].
 pub fn simd_kernel_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -165,48 +153,20 @@ fn env_backend() -> GemmBackend {
         match std::env::var("PTE_GEMM_KERNEL").unwrap_or_default().to_ascii_lowercase().as_str() {
             "simd" | "avx2" => GemmBackend::PackedSimd,
             "scalar" => GemmBackend::PackedScalar,
-            "blocked" => GemmBackend::Blocked,
             _ => GemmBackend::Auto,
         }
     })
 }
 
-/// The backend an explicit (forced / env / per-call) request resolves to:
-/// never `Auto`, and `PackedSimd` degrades to `PackedScalar` off AVX2
-/// hardware.
-fn resolve_concrete(backend: GemmBackend) -> GemmBackend {
-    match backend {
-        GemmBackend::Auto | GemmBackend::PackedSimd => {
-            if simd_kernel_available() {
-                GemmBackend::PackedSimd
-            } else {
-                GemmBackend::PackedScalar
-            }
-        }
-        other => other,
-    }
-}
-
-/// The explicitly requested backend for a call, if any: per-call request,
-/// else process-wide force, else environment.
-fn explicit_backend(call: GemmBackend) -> Option<GemmBackend> {
-    [call, gemm_backend(), env_backend()].into_iter().find(|&b| b != GemmBackend::Auto)
-}
-
-/// Final dispatch decision for one `m×k×n` product.
-fn backend_for(call: GemmBackend, m: usize, k: usize, n: usize) -> GemmBackend {
-    match explicit_backend(call) {
-        Some(b) => resolve_concrete(b),
-        None => {
-            // Packing reads and rewrites both operands once; only worth it
-            // when the arithmetic dominates and the tile grid is non-trivial.
-            if m >= 4 && n >= 4 && m * k * n >= PACKED_MIN_MACS {
-                resolve_concrete(GemmBackend::Auto)
-            } else {
-                GemmBackend::Blocked
-            }
-        }
-    }
+/// Whether a call on `call` runs the AVX2 micro-kernel: the first
+/// non-`Auto` of the per-call backend, [`set_gemm_backend`] and
+/// `PTE_GEMM_KERNEL` decides, and AVX2 detection settles the rest —
+/// `PackedSimd` degrades to the portable kernel off AVX2 hardware. Every
+/// entry point asks this once per call (once per wave in [`gemm_nn_batch`]).
+pub fn use_simd(call: GemmBackend) -> bool {
+    let requested =
+        [call, gemm_backend(), env_backend()].into_iter().find(|&b| b != GemmBackend::Auto);
+    requested != Some(GemmBackend::PackedScalar) && simd_kernel_available()
 }
 
 /// The three packed product layouts (see module docs for the op mapping).
@@ -223,8 +183,8 @@ enum Layout {
     Tn,
 }
 
-/// Runs one micro-tile on the fastest kernel the call may use. `simd` is only
-/// ever `true` when [`simd_kernel_available`] held at dispatch time.
+/// Runs one micro-tile on the kernel the call chose. `simd` is only ever
+/// `true` when [`simd_kernel_available`] held at dispatch time.
 ///
 /// A ragged tile on the SIMD path runs the full AVX2 kernel on a stack
 /// `MR×NR` tile seeded from `C`'s live lanes, and only the live lanes are
@@ -349,12 +309,7 @@ pub fn gemm_nn_with(
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    match backend_for(backend, m, k, n) {
-        GemmBackend::Blocked => gemm_nn_blocked(m, k, n, a, b, c),
-        concrete => {
-            gemm_packed(Layout::Nn, m, k, n, a, b, c, concrete == GemmBackend::PackedSimd);
-        }
-    }
+    gemm_packed(Layout::Nn, m, k, n, a, b, c, use_simd(backend));
 }
 
 /// `C[m×n] += A[m×k] · B[n×k]ᵀ` — both operands walked along contiguous rows.
@@ -379,19 +334,14 @@ pub fn gemm_nt_with(
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    match backend_for(backend, m, k, n) {
-        GemmBackend::Blocked => gemm_nt_blocked(m, k, n, a, b, c),
-        concrete => {
-            gemm_packed(Layout::Nt, m, k, n, a, b, c, concrete == GemmBackend::PackedSimd);
-        }
-    }
+    gemm_packed(Layout::Nt, m, k, n, a, b, c, use_simd(backend));
 }
 
 /// `C[m×n] += A[m×k] · B[n×k]ᵀ` with [`gemm_nn`]'s accumulation chain:
 /// each element starts from its current `C` value and adds the products in
 /// ascending `p` order, unfused — bit for bit `gemm_nn` over the transposed
-/// `B`, without materialising the transpose on the packed path (which packs
-/// `B`'s panels straight from `bt`). [`gemm_nt`] instead adds a fresh dot
+/// `B`, without materialising the transpose (`B`'s panels are packed
+/// straight from `bt`). [`gemm_nt`] instead adds a fresh dot
 /// product to `C` once.
 ///
 /// # Panics
@@ -404,20 +354,7 @@ pub fn gemm_nt_seeded(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32], c: &m
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    match backend_for(GemmBackend::Auto, m, k, n) {
-        GemmBackend::Blocked => {
-            let mut b = vec![0.0f32; k * n];
-            for (j, row) in bt.chunks_exact(k).take(n).enumerate() {
-                for (p, &v) in row.iter().enumerate() {
-                    b[p * n + j] = v;
-                }
-            }
-            gemm_nn_blocked(m, k, n, a, &b, c);
-        }
-        concrete => {
-            gemm_packed(Layout::NtSeeded, m, k, n, a, bt, c, concrete == GemmBackend::PackedSimd);
-        }
-    }
+    gemm_packed(Layout::NtSeeded, m, k, n, a, bt, c, use_simd(GemmBackend::Auto));
 }
 
 /// `C[m×n] += A[k×m]ᵀ · B[k×n]`.
@@ -442,12 +379,7 @@ pub fn gemm_tn_with(
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    match backend_for(backend, m, k, n) {
-        GemmBackend::Blocked => gemm_tn_blocked(m, k, n, a, b, c),
-        concrete => {
-            gemm_packed(Layout::Tn, m, k, n, a, b, c, concrete == GemmBackend::PackedSimd);
-        }
-    }
+    gemm_packed(Layout::Tn, m, k, n, a, b, c, use_simd(backend));
 }
 
 /// One independent `C += A·B` product of a batched GEMM wave.
@@ -478,43 +410,18 @@ pub struct GemmNnTask<'a> {
 /// Results are **bit-identical** to looping `gemm_nn` over the tasks, for any
 /// thread count and backend (the kernel bit-identity contract). Batching
 /// exists to expose cross-product parallelism (many small GEMMs saturate the
-/// pool better than their internal row bands do) and to amortise packing: on
-/// the packed path, tasks are grouped by their `(B, k, n)` operand identity
-/// and each shared `B` panel is packed once per wave instead of once per
-/// task — in the probe scheduler's multi-image waves, every member × repeat
-/// product over one image batch reuses a single packed panel.
+/// pool better than their internal row bands do) and to amortise packing:
+/// tasks are grouped by their `(B, k, n)` operand identity and each shared
+/// `B` panel is packed once per wave instead of once per task — in the probe
+/// scheduler's multi-image waves, every member × repeat product over one
+/// image batch reuses a single packed panel.
 pub fn gemm_nn_batch(tasks: Vec<GemmNnTask<'_>>) {
     gemm_nn_batch_with(GemmBackend::Auto, tasks);
 }
 
 /// [`gemm_nn_batch`] on an explicit backend (results are bit-identical).
 pub fn gemm_nn_batch_with(backend: GemmBackend, tasks: Vec<GemmNnTask<'_>>) {
-    let concrete = match explicit_backend(backend) {
-        Some(b) => resolve_concrete(b),
-        None => {
-            // The wave amortises one B pack over all tasks sharing the
-            // operand, so gate on the wave's total work, not per-task size.
-            let wave_macs: usize = tasks.iter().map(|t| t.m * t.k * t.n).sum();
-            if wave_macs >= PACKED_MIN_MACS {
-                resolve_concrete(GemmBackend::Auto)
-            } else {
-                GemmBackend::Blocked
-            }
-        }
-    };
-    if concrete == GemmBackend::Blocked {
-        tasks.into_par_iter().for_each(|t| {
-            assert!(
-                t.a.len() >= t.m * t.k && t.b.len() >= t.k * t.n && t.c.len() >= t.m * t.n,
-                "gemm_nn_batch: slice too short"
-            );
-            if t.m > 0 && t.k > 0 && t.n > 0 {
-                gemm_nn_blocked(t.m, t.k, t.n, t.a, t.b, t.c);
-            }
-        });
-        return;
-    }
-    let simd = concrete == GemmBackend::PackedSimd;
+    let simd = use_simd(backend);
 
     // Pack each distinct B operand once. Identity is the operand's address
     // plus its `k×n` view: two tasks reading the same slice through the same
@@ -543,74 +450,6 @@ pub fn gemm_nn_batch_with(backend: GemmBackend, tasks: Vec<GemmNnTask<'_>>) {
     let panels = &panels;
     tagged.into_par_iter().for_each(|(t, ix)| {
         gemm_packed_with_b(Layout::Nn, t.m, t.k, t.n, t.a, &panels[ix], t.c, simd);
-    });
-}
-
-/// The PR 1 cache-blocked `C += A·B`: k processed in `KC`-sized panels so the
-/// streamed panel of `B` stays cache-resident across the whole `A` block,
-/// broadcast-AXPY innermost loops. Kept as the benchmark baseline (the
-/// `perf_report` `gemm` section measures the micro-kernels against it) and
-/// the small-problem fallback. Zero dimensions are handled by the callers.
-fn gemm_nn_blocked(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    c[..m * n].par_chunks_mut(MC * n).enumerate().for_each(|(band, c_band)| {
-        let i0 = band * MC;
-        let rows = c_band.len() / n;
-        for p0 in (0..k).step_by(KC) {
-            let pe = (p0 + KC).min(k);
-            for i in 0..rows {
-                let a_row = &a[(i0 + i) * k..(i0 + i) * k + k];
-                let c_row = &mut c_band[i * n..i * n + n];
-                for p in p0..pe {
-                    let v = a_row[p];
-                    let b_row = &b[p * n..p * n + n];
-                    for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                        *cv += v * bv;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// The PR 1 blocked `C += A·Bᵀ`: contiguous-row dot products. See
-/// [`gemm_nn_blocked`] for its role.
-fn gemm_nt_blocked(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    c[..m * n].par_chunks_mut(MC * n).enumerate().for_each(|(band, c_band)| {
-        let i0 = band * MC;
-        let rows = c_band.len() / n;
-        for i in 0..rows {
-            let a_row = &a[(i0 + i) * k..(i0 + i) * k + k];
-            let c_row = &mut c_band[i * n..i * n + n];
-            for (j, cv) in c_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..j * k + k];
-                let mut acc = 0.0f32;
-                for (av, bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *cv += acc;
-            }
-        }
-    });
-}
-
-/// The PR 1 blocked `C += Aᵀ·B`. See [`gemm_nn_blocked`] for its role.
-fn gemm_tn_blocked(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    c[..m * n].par_chunks_mut(MC * n).enumerate().for_each(|(band, c_band)| {
-        let i0 = band * MC;
-        let rows = c_band.len() / n;
-        for p0 in (0..k).step_by(KC) {
-            let pe = (p0 + KC).min(k);
-            for i in 0..rows {
-                let c_row = &mut c_band[i * n..i * n + n];
-                for p in p0..pe {
-                    let v = a[p * m + i0 + i];
-                    let b_row = &b[p * n..p * n + n];
-                    for (cv, bv) in c_row.iter_mut().zip(b_row) {
-                        *cv += v * bv;
-                    }
-                }
-            }
-        }
     });
 }
 
@@ -646,20 +485,15 @@ mod tests {
 
     #[test]
     fn every_backend_is_bit_identical_to_naive_nn() {
-        // The load-bearing contract (module docs): packed SIMD, packed
-        // scalar and blocked all reproduce the naive triple loop exactly.
+        // The load-bearing contract (module docs): packed SIMD and packed
+        // scalar both reproduce the naive triple loop exactly.
         // The integration suite (`tests/gemm_kernel_parity.rs`) sweeps odd
         // shapes; this is the in-crate smoke version.
         let (m, k, n) = (MC + MR + 3, 67, 2 * NR + 5);
         let a = Tensor::randn(&[m, k], 40).into_vec();
         let b = Tensor::randn(&[k, n], 41).into_vec();
         let want = naive_nn(m, k, n, &a, &b);
-        for backend in [
-            GemmBackend::PackedSimd,
-            GemmBackend::PackedScalar,
-            GemmBackend::Blocked,
-            GemmBackend::Auto,
-        ] {
+        for backend in [GemmBackend::PackedSimd, GemmBackend::PackedScalar, GemmBackend::Auto] {
             let mut c = vec![0.0f32; m * n];
             gemm_nn_with(backend, m, k, n, &a, &b, &mut c);
             for (i, (x, y)) in c.iter().zip(&want).enumerate() {
@@ -738,7 +572,7 @@ mod tests {
         for v in &c {
             assert_eq!(*v, 10.0 + (k as f32) * 2.0);
         }
-        // The packed paths honour accumulation too (Seeded chain).
+        // The portable kernel honours accumulation too (Seeded chain).
         let mut c2 = vec![10.0f32; m * n];
         gemm_nn_with(GemmBackend::PackedScalar, m, k, n, &a, &b, &mut c2);
         assert_eq!(c, c2);

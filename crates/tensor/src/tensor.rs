@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use rand::Rng;
-
 use crate::rng;
 use crate::{Result, Shape, TensorError};
 
@@ -80,14 +78,6 @@ impl Tensor {
         let shape = Shape::new(dims);
         let mut data = Vec::new();
         rng::fill_normal(&mut r, shape.len(), &mut data);
-        Tensor { shape, data }
-    }
-
-    /// Creates a tensor of uniform samples in `[lo, hi)` (deterministic per seed).
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, seed: u64) -> Self {
-        let mut r = rng::seeded(seed);
-        let shape = Shape::new(dims);
-        let data = (0..shape.len()).map(|_| r.random_range(lo..hi)).collect();
         Tensor { shape, data }
     }
 
@@ -219,11 +209,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Largest absolute element (0 for empty tensors).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 
     /// Maximum absolute difference to another tensor of identical shape.

@@ -1,21 +1,21 @@
-//! Kernel-parity pins for the GEMM dispatch tree: the AVX2 and scalar
-//! micro-kernels and the legacy blocked loops must be **bit-identical** to
-//! the naive triple loop — across odd shapes straddling every tile boundary,
-//! for all three product layouts (`nn` / `nt` / `tn`, i.e. the transposed
-//! operands conv backward uses), and through the multi-image
-//! `gemm_nn_batch` path with its shared packed `B` panels.
+//! Kernel-parity pins for GEMM dispatch: the AVX2 and scalar micro-kernels
+//! must be **bit-identical** to the naive triple loop — across odd shapes
+//! straddling every tile boundary, for all three product layouts (`nn` /
+//! `nt` / `tn`, i.e. the transposed operands conv backward uses), and
+//! through the multi-image `gemm_nn_batch` path with its shared packed `B`
+//! panels.
 //!
 //! This is the contract that makes GEMM dispatch invisible: runtime feature
-//! detection, size heuristics and forced backends may pick any kernel
-//! without changing a single bit anywhere downstream (probe scores, search
-//! plans — `search/tests/simd_plan_parity.rs` pins the end-to-end version).
+//! detection and forced backends may pick either kernel without changing a
+//! single bit anywhere downstream (probe scores, search plans —
+//! `search/tests/simd_plan_parity.rs` pins the end-to-end version).
 //! The kernels earn it by accumulating each `C` element over `k` in
 //! ascending order with unfused multiply-then-add; see the `gemm` module
 //! docs.
 //!
 //! On machines without AVX2, `PackedSimd` resolves to the scalar
 //! micro-kernel (documented fallback), so this suite degrades to pinning
-//! scalar-vs-blocked-vs-naive — still the full contract for that hardware.
+//! scalar-vs-naive — still the full contract for that hardware.
 
 use proptest::prelude::*;
 
@@ -25,10 +25,10 @@ use pte_tensor::ops::gemm::{
 };
 use pte_tensor::Tensor;
 
-/// Every backend a caller can force. `Auto` rides along to pin that the
-/// size heuristic can only ever choose among bit-identical options.
-const BACKENDS: [GemmBackend; 4] =
-    [GemmBackend::PackedSimd, GemmBackend::PackedScalar, GemmBackend::Blocked, GemmBackend::Auto];
+/// Every backend a caller can force. `Auto` rides along to pin that
+/// dispatch can only ever choose among bit-identical options.
+const BACKENDS: [GemmBackend; 3] =
+    [GemmBackend::PackedSimd, GemmBackend::PackedScalar, GemmBackend::Auto];
 
 /// The off-by-one territory around the micro-tile geometry (`MR = NR = 8`),
 /// the parallel band height (64) and a large prime, plus degenerate 1s.
@@ -259,7 +259,7 @@ fn batch_skips_degenerate_tasks() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes and seeds: SIMD ≡ scalar ≡ blocked ≡ naive, bits, for
+    /// Random shapes and seeds: SIMD ≡ scalar ≡ naive, bits, for
     /// all three layouts over one shared random case.
     #[test]
     fn random_shapes_are_bit_identical_across_backends(

@@ -111,11 +111,6 @@ pub fn coverage_ratio() -> f64 {
     fired as f64 / total as f64
 }
 
-/// Clears the coverage ledger (tests that assert exact snapshots).
-pub fn reset_coverage() {
-    coverage_ledger().lock().expect("coverage ledger poisoned").clear();
-}
-
 /// Raw token space. Tokens are stored un-reduced and interpreted modulo the
 /// live bound (rule count or loop count) at decode time, so a stored buffer
 /// stays meaningful as the schedule it decodes against evolves.

@@ -16,12 +16,13 @@
 //! * **No nested oversubscription.** A `map` issued from inside a worker
 //!   thread runs inline (sequentially), mirroring how rayon keeps nested
 //!   parallelism on the current worker rather than spawning a new pool.
-//! * Thread count comes from `RAYON_NUM_THREADS` (or `PTE_THREADS`), falling
-//!   back to `available_parallelism`, re-read per call so tests and benches
-//!   can pin it.
+//! * Thread count comes from `RAYON_NUM_THREADS` (or `PTE_THREADS`), re-read
+//!   per call so tests and benches can pin it, falling back to
+//!   `available_parallelism`, read once (it reads cgroup files on Linux,
+//!   ~20 µs a call).
 
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -36,7 +37,8 @@ pub fn current_num_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static FALLBACK: OnceLock<usize> = OnceLock::new();
+    *FALLBACK.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Maps `f` over `items` on the worker pool, returning results in input
@@ -48,8 +50,11 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
+    if IN_WORKER.with(Cell::get) {
+        return items.into_iter().map(f).collect();
+    }
     let threads = current_num_threads().min(items.len());
-    if threads <= 1 || IN_WORKER.with(Cell::get) {
+    if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
     let n = items.len();
@@ -217,6 +222,23 @@ mod tests {
         });
         for (i, v) in buf.iter().enumerate() {
             assert_eq!(*v, (i / 16) as u32);
+        }
+    }
+
+    #[test]
+    fn thread_count_set_after_the_first_call_is_honoured() {
+        // The fallback is cached; the environment is not. Sibling tests
+        // only read the count, so a transient override cannot break them.
+        let saved = std::env::var_os("RAYON_NUM_THREADS");
+        std::env::remove_var("RAYON_NUM_THREADS");
+        let first = super::current_num_threads();
+        std::env::set_var("RAYON_NUM_THREADS", "3");
+        assert_eq!(super::current_num_threads(), 3);
+        std::env::set_var("RAYON_NUM_THREADS", "0");
+        assert_eq!(super::current_num_threads(), first);
+        match saved {
+            Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
         }
     }
 
