@@ -50,10 +50,9 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    if IN_WORKER.with(Cell::get) {
-        return items.into_iter().map(f).collect();
-    }
-    let threads = current_num_threads().min(items.len());
+    // Inside a worker the count is never needed, so it is not even read.
+    let threads =
+        if IN_WORKER.with(Cell::get) { 1 } else { current_num_threads().min(items.len()) };
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
