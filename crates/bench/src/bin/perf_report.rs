@@ -12,7 +12,7 @@
 //!    and `PTE_GEMM_KERNEL` allows it) vs the portable packed kernel, over
 //!    probe-wave-scale `nn`/`nt`/`tn` products, with SIMD-vs-scalar
 //!    bit-identity asserted in **every** mode (quick included);
-//! 3. **conv** — im2col + GEMM vs the naive 7-deep loop nest,
+//! 3. **conv** — im2col + GEMM vs the naive direct loop nest,
 //!    forward and backward, at Fisher-probe scale;
 //! 4. **probe** — batched shape-class Fisher probing (`probe_wave`: one
 //!    im2col per class, multi-image GEMM waves, class-wide BN/readout/

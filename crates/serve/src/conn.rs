@@ -11,24 +11,35 @@
 //!
 //! The loop has no thread of its own: the pool's threads take turns running
 //! it (leader/followers, [`Pool`]). The thread running it cuts complete
-//! messages ([`crate::wire::Inbox`]), hands the loop to an idle thread, and
-//! answers the first message itself, so a request never waits for a second
-//! thread to wake. The answer travels back to the loop over a completion
-//! channel, with one byte written to the wake-up pair (as
-//! [`Core::shutdown`] also does). At most one request per connection is in
-//! flight at a time — the loop stops extracting messages from a connection
-//! until its reply is queued — which preserves reply ordering under
-//! pipelining without any reordering machinery.
+//! messages ([`crate::wire::Inbox`]) and first offers each to the endpoint's
+//! [`Service::inline`]: what can be answered without blocking (the daemon's
+//! plan-cache hits) is answered right there and written straight to the
+//! socket, with no hand-off and no wake-up. Anything else becomes a job: the
+//! thread hands the loop to an idle thread and answers the first job
+//! itself, so a request never waits for a second thread to wake. A job's
+//! answer travels back to the loop over a completion channel, with one byte
+//! written to the wake-up pair (as [`Core::shutdown`] also does). At most
+//! one job per connection is in flight at a time — the loop stops
+//! extracting messages from a connection until its reply is queued — which
+//! preserves reply ordering under pipelining without any reordering
+//! machinery.
 //!
-//! While every thread is answering a request, nothing runs the loop: new
+//! Backpressure: a connection whose queued replies the socket has not yet
+//! taken is neither read nor cut until they are flushed, so a client that
+//! never reads its replies stalls in its own writes instead of growing the
+//! endpoint.
+//!
+//! While every thread is answering a job, nothing runs the loop: new
 //! connections wait in the listen backlog and new requests in their sockets
 //! until a thread is free. A handler must therefore not block without bound
-//! (the router bounds its backend reads).
+//! (the router bounds its backend reads), and an inline answer must not
+//! block at all.
 //!
 //! What a thread does with a message is the endpoint's [`Service`]: the
 //! daemon searches through its plan cache, the router forwards through its
-//! ring. A handler panic is contained here and answered through
-//! [`Service::panicked`] on its own connection; the endpoint keeps serving.
+//! ring. A panic, inline or in a job, is contained here and answered
+//! through [`Service::panicked`] on its own connection; the endpoint keeps
+//! serving.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -57,6 +68,8 @@ static CONNS_BUSY: LazyLock<Gauge> =
     LazyLock::new(|| pte_telemetry::global().gauge("pte_connections_busy"));
 static CONNS_IDLE: LazyLock<Gauge> =
     LazyLock::new(|| pte_telemetry::global().gauge("pte_connections_idle"));
+static INLINE_TOTAL: LazyLock<Counter> =
+    LazyLock::new(|| pte_telemetry::global().counter("pte_requests_inline_total"));
 
 /// One endpoint's request handling, run on the core's threads. Public only
 /// so the endpoints' handles can name it; `conn` itself is private.
@@ -65,11 +78,23 @@ pub trait Service: Send + Sync + 'static {
     /// panic. The daemon's is `()`; the router's is its backend pool.
     type Worker: Default;
 
-    /// Answers one message.
-    fn handle(&self, message: Message, worker: &mut Self::Worker) -> Outcome;
+    /// A message on its way to a core thread, with whatever
+    /// [`Service::inline`] already learned about it (the daemon's carries
+    /// the decoded op, so nothing is decoded twice).
+    type Job: From<Message> + Send;
+
+    /// Offers a message to the thread running the event loop, in arrival
+    /// order: answers it there if that cannot block, or returns the job to
+    /// dispatch. The default answers nothing inline.
+    fn inline(&self, message: Message) -> Result<Outcome, Self::Job> {
+        Err(message.into())
+    }
+
+    /// Answers one job on a core thread.
+    fn handle(&self, job: Self::Job, worker: &mut Self::Worker) -> Outcome;
 
     /// The answer to a message whose handler panicked; `started` is when
-    /// its thread picked it up.
+    /// its thread took it up.
     fn panicked(&self, wire: Wire, _started: Instant) -> Outcome {
         Outcome::Reply(Reply::error("internal panic", true, None).encode(wire))
     }
@@ -170,6 +195,7 @@ pub(crate) fn spawn<S: Service>(
     LazyLock::force(&EL_POLLS);
     LazyLock::force(&CONNS_BUSY);
     LazyLock::force(&CONNS_IDLE);
+    LazyLock::force(&INLINE_TOTAL);
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -229,13 +255,12 @@ const READ_CHUNK: usize = 64 * 1024;
 
 /// A unit of work for the pool, addressed back to its connection slot.
 /// `epoch` guards slot reuse: a completion for a connection that closed
-/// (and whose slot now holds a newer one) is discarded. Messages travel as
-/// raw bytes: decoding happens in the handler, so a malformed request is
-/// just another reply, not loop work.
-struct Job {
+/// (and whose slot now holds a newer one) is discarded.
+struct Job<S: Service> {
     slot: usize,
     epoch: u64,
-    message: Message,
+    wire: Wire,
+    work: S::Job,
 }
 
 /// The core's threads and what they share. There is no dedicated loop
@@ -252,7 +277,7 @@ struct Pool<S: Service> {
 
 struct Shared<S: Service> {
     /// Messages dispatched beyond the one their leader answers itself.
-    jobs: VecDeque<Job>,
+    jobs: VecDeque<Job<S>>,
     /// The event loop while no thread runs it.
     idle_loop: Option<EventLoop<S>>,
     /// The loop has exited: threads answer the queued jobs, then stop.
@@ -263,7 +288,7 @@ impl<S: Service> Pool<S> {
     /// The next message for this thread: a queued job first, else one it
     /// dispatches itself by leading the parked loop. `None` once the loop
     /// has exited and the queue is empty.
-    fn next_job(&self) -> Option<Job> {
+    fn next_job(&self) -> Option<Job<S>> {
         loop {
             let mut event_loop = {
                 let mut shared = self.shared.lock().expect("core pool");
@@ -326,17 +351,19 @@ struct Connection {
     /// Inbound bytes not yet forming a complete message; fixes the
     /// connection's codec from its first byte.
     inbox: Inbox,
-    /// Outbound bytes not yet accepted by the socket.
+    /// Outbound bytes not yet accepted by the socket. While any remain, no
+    /// reads are issued and no messages are extracted (backpressure).
     out: Vec<u8>,
-    /// A request is in flight; no further messages are extracted (and no
+    /// A job is in flight; no further messages are extracted (and no
     /// reads are issued) until its reply is queued.
     busy: bool,
     /// The last poll reported the socket ready (or it was just accepted):
     /// the next pass reads it. Cleared once a read drains it.
     readable: bool,
     epoch: u64,
-    /// Idle clock: reset when a reply is queued — trickling partial bytes
-    /// does not reset it.
+    /// Idle clock: reset when a reply is queued and whenever the socket
+    /// takes some of it — trickling partial request bytes does not reset
+    /// it, and neither does a client that stopped reading its replies.
     last_reply: Instant,
     /// Deliver `out`, then close (oversized line, broken framing, drain).
     close_after_flush: bool,
@@ -344,19 +371,18 @@ struct Connection {
 
 impl Connection {
     /// The events to poll this connection for; `0` leaves it out of the
-    /// poll set. Reads are wanted only while messages may still be
-    /// extracted, writes only while bytes are queued. A busy connection
+    /// poll set. Writes are wanted while bytes are queued, and reads only
+    /// once none are and messages may still be extracted. A busy connection
     /// with nothing to send is not polled at all: its hang-up would report
     /// `POLLHUP` on every call and spin the loop until its reply lands.
     fn interest(&self) -> i16 {
-        let mut events = 0;
-        if !self.busy && !self.close_after_flush {
-            events |= POLLIN;
-        }
         if !self.out.is_empty() {
-            events |= POLLOUT;
+            POLLOUT
+        } else if !self.busy && !self.close_after_flush {
+            POLLIN
+        } else {
+            0
         }
-        events
     }
 }
 
@@ -374,7 +400,7 @@ struct EventLoop<S: Service> {
     busy: usize,
     next_epoch: u64,
     /// Messages this pass dispatched, handed to the pool when it ends.
-    dispatched: VecDeque<Job>,
+    dispatched: VecDeque<Job<S>>,
     completion_rx: Receiver<Completion>,
     idle_timeout: Duration,
     /// The stop flag as the last pass read it.
@@ -393,11 +419,12 @@ struct EventLoop<S: Service> {
 impl<S: Service> EventLoop<S> {
     /// Waits and runs a loop pass until a pass dispatches messages, and
     /// returns them, or until a drain has closed every connection (`None`).
-    fn lead(&mut self) -> Option<VecDeque<Job>> {
+    fn lead(&mut self) -> Option<VecDeque<Job<S>>> {
         loop {
-            // Every pass drains what it touches (reads and accepts run to
-            // `WouldBlock`, writes until the socket pushes back), and the
-            // poll is level-triggered, so blocking here never strands work.
+            // Every pass leaves each connection waiting on something the
+            // level-triggered poll watches (bytes to read, room to write, a
+            // completion's wake-up byte), and accepts run to `WouldBlock`,
+            // so blocking here never strands work.
             self.wait(self.stopping);
             self.pass();
             if !self.dispatched.is_empty() {
@@ -457,7 +484,7 @@ impl<S: Service> EventLoop<S> {
             }
             self.fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
             self.fd_slots.push(index);
-            if !conn.busy && conn.out.is_empty() {
+            if !conn.busy {
                 let left = self.idle_timeout.saturating_sub(conn.last_reply.elapsed());
                 timeout = Some(timeout.map_or(left, |t| t.min(left)));
             }
@@ -561,13 +588,21 @@ impl<S: Service> EventLoop<S> {
         }
     }
 
-    /// One pass over a connection: read if ready, extract, dispatch, flush,
-    /// then apply idle/drain policy. Returns false to close.
+    /// One pass over a connection: flush, then (once nothing is left to
+    /// send) read if ready, extract and answer or dispatch, then apply
+    /// idle/drain policy. Returns false to close.
     fn sweep_conn(&mut self, index: usize, conn: &mut Connection, stopping: bool) -> bool {
-        if !conn.busy && !conn.close_after_flush && !self.pump(index, conn) {
+        let queued = conn.out.len();
+        if !flush(&conn.stream, &mut conn.out) {
             return false;
         }
-        if !flush(&conn.stream, &mut conn.out) {
+        if conn.out.len() < queued {
+            conn.last_reply = Instant::now();
+        }
+        if conn.out.is_empty() && !conn.busy && !conn.close_after_flush && !self.pump(index, conn) {
+            return false;
+        }
+        if !conn.busy && conn.last_reply.elapsed() > self.idle_timeout {
             return false;
         }
         if conn.close_after_flush {
@@ -580,53 +615,78 @@ impl<S: Service> EventLoop<S> {
             conn.close_after_flush = true;
             return true;
         }
-        if !conn.busy && conn.out.is_empty() && conn.last_reply.elapsed() > self.idle_timeout {
-            return false;
-        }
         true
     }
 
-    /// Reads whatever the socket has (if the last poll said it has any),
-    /// then extracts and dispatches at most one message (one in flight per
-    /// connection). Returns false when the connection is gone.
+    /// Cuts messages, answering each inline or dispatching it, until one is
+    /// in flight (one per connection), a reply is left unsent, or no
+    /// complete message is buffered and this pass has read the socket. The
+    /// socket is read only when the inbox holds no complete message, so the
+    /// inbox never outgrows one message plus one read, and at most once per
+    /// pass, so a pipelining client cannot keep the loop from the other
+    /// connections. Returns false when the connection is gone.
     fn pump(&mut self, index: usize, conn: &mut Connection) -> bool {
-        while conn.readable {
-            match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    // Client closed; any partial message is dropped.
-                    return false;
-                }
-                Ok(n) => {
-                    conn.inbox.push(&self.scratch[..n]);
-                    if n < self.scratch.len() {
-                        conn.readable = false;
+        let mut read_this_pass = false;
+        while !conn.busy && !conn.close_after_flush && conn.out.is_empty() {
+            match conn.inbox.next() {
+                Ok(Some(message)) => {
+                    if !self.answer(index, conn, message) {
+                        return false;
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => conn.readable = false,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        while !conn.busy {
-            match conn.inbox.next() {
-                Ok(Some(message)) => self.dispatch_job(index, conn, message),
-                Ok(None) => break, // incomplete message: wait for more bytes
+                Ok(None) if conn.readable && !read_this_pass => {
+                    match conn.stream.read(&mut self.scratch) {
+                        Ok(0) => return false, // client closed; a partial message is dropped
+                        Ok(n) => {
+                            conn.inbox.push(&self.scratch[..n]);
+                            conn.readable = n == self.scratch.len();
+                            read_this_pass = true;
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => conn.readable = false,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        Err(_) => return false,
+                    }
+                }
+                Ok(None) => break, // incomplete message, or read this pass: poll again
                 Err(error_reply) => {
                     // Framing is lost: answer and close.
                     self.service.framing_error();
                     conn.out.extend_from_slice(&error_reply);
                     conn.close_after_flush = true;
-                    break;
                 }
+            }
+            if !flush(&conn.stream, &mut conn.out) {
+                return false;
             }
         }
         true
     }
 
-    fn dispatch_job(&mut self, index: usize, conn: &mut Connection, message: Message) {
-        conn.busy = true;
-        self.busy += 1;
-        self.dispatched.push_back(Job { slot: index, epoch: conn.epoch, message });
+    /// Answers `message` on this thread if the service can, queueing the
+    /// reply, or dispatches it. Returns false when the answer severs the
+    /// connection.
+    fn answer(&mut self, index: usize, conn: &mut Connection, message: Message) -> bool {
+        let (wire, started) = (message.wire, Instant::now());
+        let outcome = match catch_unwind(AssertUnwindSafe(|| self.service.inline(message))) {
+            Ok(Ok(outcome)) => outcome,
+            Ok(Err(work)) => {
+                conn.busy = true;
+                self.busy += 1;
+                self.dispatched.push_back(Job { slot: index, epoch: conn.epoch, wire, work });
+                return true;
+            }
+            Err(_) => self.service.panicked(wire, started),
+        };
+        INLINE_TOTAL.inc();
+        match outcome {
+            Outcome::Reply(bytes) => {
+                debug_assert!(conn.out.is_empty(), "pump answers only while nothing is queued");
+                conn.out = bytes;
+                conn.last_reply = Instant::now();
+                true
+            }
+            Outcome::Silent => false,
+        }
     }
 }
 
@@ -662,9 +722,9 @@ fn pool_thread<S: Service>(
     service: &S,
 ) {
     let mut worker = S::Worker::default();
-    while let Some(Job { slot, epoch, message }) = pool.next_job() {
-        let (wire, started) = (message.wire, Instant::now());
-        let handled = catch_unwind(AssertUnwindSafe(|| service.handle(message, &mut worker)));
+    while let Some(Job { slot, epoch, wire, work }) = pool.next_job() {
+        let started = Instant::now();
+        let handled = catch_unwind(AssertUnwindSafe(|| service.handle(work, &mut worker)));
         let outcome = handled.unwrap_or_else(|_| {
             worker = S::Worker::default();
             service.panicked(wire, started)
@@ -681,20 +741,44 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
 
-    /// Echoes each line back; panics on `boom`, answers `slow` late.
+    /// Echoes each line back. Lines starting with `i` are answered inline
+    /// (`iboom` panics there); the rest are jobs: `boom` panics, `slow`
+    /// answers late, `wait` blocks until [`Echo::release`].
     #[derive(Default)]
     struct Echo {
         stop: AtomicBool,
         connections: AtomicU64,
+        released: (Mutex<bool>, Condvar),
+    }
+
+    impl Echo {
+        fn release(&self) {
+            *self.released.0.lock().unwrap() = true;
+            self.released.1.notify_all();
+        }
     }
 
     impl Service for Echo {
         type Worker = ();
+        type Job = Message;
+
+        fn inline(&self, message: Message) -> Result<Outcome, Message> {
+            if !message.raw().starts_with(b"i") {
+                return Err(message);
+            }
+            assert_ne!(message.raw(), b"iboom\n", "injected inline fault");
+            Ok(Outcome::Reply(message.into_raw()))
+        }
 
         fn handle(&self, message: Message, (): &mut ()) -> Outcome {
             assert_ne!(message.raw(), b"boom\n", "injected handler fault");
             if message.raw() == b"slow\n" {
                 std::thread::sleep(Duration::from_millis(100));
+            }
+            if message.raw() == b"wait\n" {
+                let (released, cond) = &self.released;
+                let guard = released.lock().unwrap();
+                drop(cond.wait_while(guard, |released| !*released).unwrap());
             }
             Outcome::Reply(message.into_raw())
         }
@@ -762,6 +846,134 @@ mod tests {
         (&stream).write_all(b"c\n").unwrap();
         assert_eq!(line(&mut reader), b"slow\n");
         assert_eq!(line(&mut reader), b"c\n");
+        core.join();
+    }
+
+    #[test]
+    fn pipelined_inline_and_dispatched_answers_keep_request_order() {
+        let (core, _exited) =
+            spawn("127.0.0.1:0", Arc::new(Echo::default()), 2, Duration::from_secs(60)).unwrap();
+        let (stream, mut reader) = client(&core);
+        let requests: [&[u8]; 7] =
+            [b"i1\n", b"d2\n", b"i3\n", b"slow\n", b"i4\n", b"i5\n", b"d6\n"];
+        (&stream).write_all(&requests.concat()).unwrap();
+        for request in requests {
+            assert_eq!(line(&mut reader), request);
+        }
+        core.join();
+    }
+
+    #[test]
+    fn an_inline_panic_is_answered_and_the_connection_survives() {
+        let service = Arc::new(Echo::default());
+        let (core, _exited) =
+            spawn("127.0.0.1:0", Arc::clone(&service), 1, Duration::from_secs(60)).unwrap();
+        let (stream, mut reader) = client(&core);
+        let panic_reply = Reply::error("internal panic", true, None).encode(Wire::Json);
+        (&stream).write_all(b"i1\niboom\ni2\nd3\n").unwrap();
+        for expected in [&b"i1\n"[..], &panic_reply, b"i2\n", b"d3\n"] {
+            assert_eq!(line(&mut reader), expected);
+        }
+        assert_eq!(service.connections.load(Ordering::Relaxed), 1);
+        core.join();
+    }
+
+    #[test]
+    fn inline_answers_flow_while_a_job_holds_a_thread() {
+        let service = Arc::new(Echo::default());
+        let (core, _exited) =
+            spawn("127.0.0.1:0", Arc::clone(&service), 1, Duration::from_secs(60)).unwrap();
+        let (waiting, mut waiting_reader) = client(&core);
+        (&waiting).write_all(b"wait\n").unwrap();
+        let (stream, mut reader) = client(&core);
+        for i in 0..20 {
+            let request = format!("i{i}\n").into_bytes();
+            (&stream).write_all(&request).unwrap();
+            assert_eq!(line(&mut reader), request);
+        }
+        waiting.set_nonblocking(true).unwrap();
+        let mut byte = [0u8; 1];
+        let pending = (&waiting).read(&mut byte).map_err(|e| e.kind());
+        assert_eq!(pending, Err(ErrorKind::WouldBlock), "the job must still hold its thread");
+        waiting.set_nonblocking(false).unwrap();
+        service.release();
+        assert_eq!(line(&mut waiting_reader), b"wait\n");
+        core.join();
+    }
+
+    /// Pipelines numbered inline requests on `stream` (nonblocking) without
+    /// reading a reply, until its writes have blocked for `held`. Returns
+    /// how many requests were started and the last batch with how much of
+    /// it was written.
+    fn pipeline_until_blocked(mut stream: &TcpStream, held: Duration) -> (usize, Vec<u8>, usize) {
+        // Kernel buffers on both sides, far below what an unbounded inbox
+        // would take in the same time.
+        const BOUND: usize = 128 << 20;
+        let (mut sent, mut written, mut batch, mut at) = (0usize, 0usize, Vec::new(), 0usize);
+        let mut blocked_since: Option<Instant> = None;
+        while blocked_since.is_none_or(|since| since.elapsed() < held) {
+            if at == batch.len() {
+                batch =
+                    (sent..sent + 4096).flat_map(|i| format!("i{i:010}\n").into_bytes()).collect();
+                (sent, at) = (sent + 4096, 0);
+            }
+            match stream.write(&batch[at..]) {
+                Ok(n) => {
+                    (written, at, blocked_since) = (written + n, at + n, None);
+                    assert!(
+                        written < BOUND,
+                        "{written} bytes taken from a client that never reads"
+                    );
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    blocked_since.get_or_insert_with(Instant::now);
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("write failed: {e}"),
+            }
+        }
+        (sent, batch, at)
+    }
+
+    /// A client that pipelines without reading its replies stalls in its
+    /// own writes: the loop stops reading a connection whose replies the
+    /// socket has not taken. Once the client reads, every reply arrives
+    /// whole and in order.
+    #[test]
+    fn a_client_that_never_reads_is_held_off_by_its_own_socket() {
+        let (core, _exited) =
+            spawn("127.0.0.1:0", Arc::new(Echo::default()), 1, Duration::from_secs(60)).unwrap();
+        let stream = TcpStream::connect(core.addr()).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let (sent, batch, at) = pipeline_until_blocked(&stream, Duration::from_millis(200));
+
+        stream.set_nonblocking(false).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let replies = std::thread::spawn(move || {
+            (0..sent).all(|i| line(&mut reader) == format!("i{i:010}\n").into_bytes())
+        });
+        (&stream).write_all(&batch[at..]).unwrap();
+        assert!(replies.join().unwrap(), "replies must arrive whole and in request order");
+        core.join();
+    }
+
+    /// The idle clock runs while the socket takes none of a connection's
+    /// queued replies, so a client that stopped reading loses its slot.
+    #[test]
+    fn a_client_that_stops_reading_is_closed_once_idle() {
+        let service = Arc::new(Echo::default());
+        let (core, _exited) =
+            spawn("127.0.0.1:0", Arc::clone(&service), 1, Duration::from_millis(300)).unwrap();
+        let stream = TcpStream::connect(core.addr()).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        pipeline_until_blocked(&stream, Duration::from_millis(50));
+        assert_eq!(service.connections.load(Ordering::Relaxed), 1);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.connections.load(Ordering::Relaxed) > 0 {
+            assert!(Instant::now() < deadline, "a connection nobody reads must time out");
+            std::thread::sleep(Duration::from_millis(20));
+        }
         core.join();
     }
 }

@@ -23,8 +23,9 @@
 //! `deadline_ms` of its own (0 disables the default).
 //!
 //! `--idle-timeout-ms` closes keep-alive connections with no completed
-//! request for that long (they cost no threads, only a socket and a slot in
-//! the event loop's `poll(2)` set). It falls back to the
+//! request, and no reply bytes taken by the client, for that long (they
+//! cost no threads, only a socket and a slot in the event loop's `poll(2)`
+//! set). It falls back to the
 //! `PTE_SERVE_IDLE_TIMEOUT_MS` environment variable when the flag is
 //! absent, so a fleet can be tuned without editing unit files.
 //!

@@ -523,9 +523,11 @@ fn ping_shard(addr: &str, timeout: Duration) -> bool {
 // ---------------------------------------------------------------------------
 
 /// The router's side of the connection core: each worker keeps its own
-/// backend pool.
+/// backend pool. It answers nothing on the loop thread (the default
+/// [`Service::inline`]): a forward blocks on a backend.
 impl Service for RouterState {
     type Worker = Backends;
+    type Job = Message;
 
     fn handle(&self, message: Message, backends: &mut Backends) -> Outcome {
         Outcome::Reply(respond(&message, self, backends).encode(message.wire))
@@ -836,13 +838,9 @@ fn respond(message: &Message, state: &RouterState, backends: &mut Backends) -> R
     };
     // Routed under the key the daemons cache under, so one key maps one way
     // through the ring whatever codec carried it.
-    let key = match search.request.canonical_key() {
-        Ok((_, key)) => key,
-        Err(e) => return Reply::error(e.to_string(), false, None),
-    };
     state.routed.fetch_add(1, Ordering::Relaxed);
     ROUTED_TOTAL.inc();
-    match forward_search(state, backends, key, message, search.deadline_ms) {
+    match forward_search(state, backends, search.key, message, search.deadline_ms) {
         Ok(reply) => Reply::Relayed(reply),
         Err(Shed::Exhausted) => Reply::error("no shard available", true, Some(250)),
         Err(Shed::Deadline) => Reply::error("deadline", true, None),

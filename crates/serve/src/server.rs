@@ -31,12 +31,16 @@
 //!
 //! The daemon runs on the connection core ([`crate::conn`]): one event loop
 //! owning the listener and every connection, blocking in `poll(2)`, taken
-//! in turn by a fixed pool of `workers + 1` threads (leader/followers: the
-//! thread that cuts a message hands the loop on and answers it).
-//! [`ServerState`] is the core's [`Service`]: a thread decodes a message,
-//! runs it through the request pipeline below and encodes the reply. At
-//! most one request per connection is in flight at a time, which preserves
-//! reply ordering under pipelining.
+//! in turn by a fixed pool of `workers + 1` threads (leader/followers).
+//! [`ServerState`] is the core's [`Service`]. The thread running the loop
+//! decodes each message it cuts, once, keys a search and peeks the plan
+//! cache: a hit — the common case of a warm daemon — is encoded and
+//! written to the socket right there, with no hand-off and no wake-up, as
+//! are `stats`, `ping` and malformed requests. A miss, `metrics` and
+//! `shutdown` become a [`Dispatched`] job carrying the decoded op: the
+//! thread hands the loop on and answers it through the request pipeline
+//! below. Replies leave each connection in request order; at most one job
+//! per connection is in flight at a time.
 //!
 //! ## Failure containment (unchanged contract)
 //!
@@ -45,15 +49,18 @@
 //!   immediately. Cache *hits* bypass admission entirely (a non-blocking
 //!   [`PlanCache::peek`]), so a saturated daemon degrades to a read-only
 //!   cache instead of hanging everyone.
-//! * **Panic isolation**: request handling runs under `catch_unwind` in the
-//!   workers; a panicking handler answers `internal panic` on its own
-//!   connection and the daemon keeps serving. A panicking single-flight
-//!   leader wakes its waiters (one retries, the rest get the failure).
+//! * **Panic isolation**: request handling runs under `catch_unwind`, on
+//!   the loop thread and in the workers alike; a panicking handler answers
+//!   `internal panic` on its own connection and the daemon keeps serving.
+//!   A panicking single-flight leader wakes its waiters (one retries, the
+//!   rest get the failure).
 //! * **Fault injection**: an optional [`FaultHook`] is consulted per
-//!   request and per cache-miss compute, *in the workers* — an injected
-//!   stall or panic pins one thread, and the event loop runs on the
-//!   others, so the daemon keeps accepting and serving hits while a
-//!   handler is wedged.
+//!   request (on the loop thread, one ordinal per request in arrival
+//!   order) and per cache-miss compute. A request it picks is never
+//!   answered inline: its action travels with the dispatched job and runs
+//!   *in the workers* — an injected stall or panic pins one thread, and
+//!   the event loop runs on the others, so the daemon keeps accepting and
+//!   serving hits while a handler is wedged.
 //! * **Graceful drain**: shutdown stops accepting, lets in-flight requests
 //!   finish, delivers their replies, then closes everything and joins.
 //!
@@ -76,12 +83,14 @@ use pte_core::search::CancelToken;
 use pte_telemetry::{Counter, Gauge, Histogram, Trace};
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::codec::{self, ErrorClass, SearchRequest};
+use crate::codec::{self, ErrorClass};
 use crate::conn::{self, Core, Outcome, Service};
 use crate::fault::{FaultAction, FaultHook, FaultPoint};
 use crate::json::{fnv1a64, Json};
 use crate::store::PlanStore;
-use crate::wire::{self, json_count, Control, Message, Op, Reply, SearchOp, Served, Wire};
+use crate::wire::{
+    self, json_count, Control, Message, Op, Rejected, Reply, SearchOp, Served, Wire,
+};
 
 // ---------------------------------------------------------------------------
 // Telemetry handles
@@ -118,16 +127,13 @@ static REQ_JSON_US: LazyLock<Histogram> =
 static REQ_BINARY_US: LazyLock<Histogram> =
     LazyLock::new(|| pte_telemetry::global().histogram("pte_request_binary_us"));
 
-impl Op {
-    /// The op's request-latency histogram.
-    fn histogram(&self) -> &'static Histogram {
-        match self {
-            Op::Search(_) => &REQ_SEARCH_US,
-            Op::Control(Control::Stats) => &REQ_STATS_US,
-            Op::Control(Control::Metrics) => &REQ_METRICS_US,
-            Op::Control(Control::Ping) => &REQ_PING_US,
-            Op::Control(Control::Shutdown) => &REQ_SHUTDOWN_US,
-        }
+/// A control op's request-latency histogram.
+fn control_histogram(control: Control) -> &'static Histogram {
+    match control {
+        Control::Stats => &REQ_STATS_US,
+        Control::Metrics => &REQ_METRICS_US,
+        Control::Ping => &REQ_PING_US,
+        Control::Shutdown => &REQ_SHUTDOWN_US,
     }
 }
 
@@ -434,32 +440,70 @@ pub fn serve(config: &ServerConfig) -> std::io::Result<ServerHandle> {
 // Request handling
 // ---------------------------------------------------------------------------
 
-/// The daemon's side of the connection core. The fault hook sees one
-/// global request ordinal across both codecs, so a chaos script replays
-/// identically over either wire format; an injected panic unwinds into the
-/// core's containment like an organic one.
+/// A message the loop thread did not answer, on its way to a pool thread
+/// with what the loop learned about it: when it was cut, the fault hook's
+/// verdict, and the decoded op (a search keyed), so nothing is decoded
+/// twice.
+pub struct Dispatched {
+    wire: Wire,
+    started: Instant,
+    /// An injected request fault and its ordinal, acted on by the pool
+    /// thread, so a stall, panic or disconnect never runs on the loop.
+    fault: Option<(u64, FaultAction)>,
+    op: Result<Op, Rejected>,
+}
+
+impl From<Message> for Dispatched {
+    fn from(message: Message) -> Dispatched {
+        Dispatched {
+            wire: message.wire,
+            started: Instant::now(),
+            fault: None,
+            op: message.decode(),
+        }
+    }
+}
+
+/// The daemon's side of the connection core. The loop thread answers
+/// plan-cache hits, `stats`, `ping` and rejected messages itself; searches
+/// that miss, `metrics`, `shutdown` and every request the fault hook picks
+/// go to the pool. An injected panic unwinds into the core's containment
+/// like an organic one.
 impl Service for ServerState {
     type Worker = ();
+    type Job = Dispatched;
 
-    fn handle(&self, message: Message, (): &mut ()) -> Outcome {
-        let started = Instant::now();
+    fn inline(&self, message: Message) -> Result<Outcome, Dispatched> {
+        let mut job = Dispatched::from(message);
+        // One ordinal per request, in arrival order across both codecs, so
+        // a chaos script replays identically over either wire format.
         if let Some(hook) = &self.fault_hook {
             let index = self.request_seq.fetch_add(1, Ordering::Relaxed);
             match hook(FaultPoint::Request { index }) {
                 FaultAction::None => {}
-                FaultAction::StallMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
-                FaultAction::Disconnect => return Outcome::Silent,
-                FaultAction::Panic => panic!("injected request fault (request {index})"),
+                action => {
+                    job.fault = Some((index, action));
+                    return Err(job);
+                }
             }
         }
-        let reply = respond(&message, self);
-        self.answered(reply, message.wire, started)
+        self.answer(&job, true).ok_or(job)
+    }
+
+    fn handle(&self, job: Dispatched, (): &mut ()) -> Outcome {
+        match job.fault {
+            Some((_, FaultAction::StallMs(ms))) => std::thread::sleep(Duration::from_millis(ms)),
+            Some((_, FaultAction::Disconnect)) => return Outcome::Silent,
+            Some((index, FaultAction::Panic)) => panic!("injected request fault (request {index})"),
+            Some((_, FaultAction::None)) | None => {}
+        }
+        self.answer(&job, false).expect("a pool thread answers every op")
     }
 
     fn panicked(&self, wire: Wire, started: Instant) -> Outcome {
         self.panics.fetch_add(1, Ordering::Relaxed);
         PANIC_TOTAL.inc();
-        self.answered(Reply::error("internal panic", true, None), wire, started)
+        self.answered(Reply::error("internal panic", true, None), None, wire, started)
     }
 
     fn framing_error(&self) {
@@ -476,8 +520,41 @@ impl Service for ServerState {
 }
 
 impl ServerState {
-    /// Counts and encodes one reply.
-    fn answered(&self, reply: Reply, wire: Wire, started: Instant) -> Outcome {
+    /// Answers a decoded message. On the loop thread (`on_loop`) only what
+    /// cannot block is answered — a search only from a ready cache entry —
+    /// and `None` sends the rest to the pool.
+    fn answer(&self, job: &Dispatched, on_loop: bool) -> Option<Outcome> {
+        let (reply, latency) = match &job.op {
+            Ok(Op::Search(search)) => {
+                (handle_search(search, self, job.started, on_loop)?, Some(&*REQ_SEARCH_US))
+            }
+            Ok(Op::Control(Control::Metrics | Control::Shutdown)) if on_loop => return None,
+            Ok(Op::Control(control)) => (
+                wire::control(*control, || stats_json(self), render_grammar_coverage, &self.stop),
+                Some(control_histogram(*control)),
+            ),
+            // A search whose request fails to decode still counts as a
+            // search.
+            Err(rejected) => (
+                Reply::error(rejected.message.clone(), false, None),
+                rejected.search.then_some(&*REQ_SEARCH_US),
+            ),
+        };
+        Some(self.answered(reply, latency, job.wire, job.started))
+    }
+
+    /// Counts, times and encodes one reply: `op_latency` is the op's
+    /// histogram, if it has one.
+    fn answered(
+        &self,
+        reply: Reply,
+        op_latency: Option<&Histogram>,
+        wire: Wire,
+        started: Instant,
+    ) -> Outcome {
+        if let Some(latency) = op_latency {
+            latency.record_duration_us(started.elapsed());
+        }
         if reply.is_error() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -493,37 +570,22 @@ impl ServerState {
     }
 }
 
-/// Decodes and handles one message, recording its op's latency. A search
-/// whose request fails to decode still counts as a search.
-fn respond(message: &Message, state: &ServerState) -> Reply {
-    let started = Instant::now();
-    let (op_latency, reply) = match message.decode() {
-        Ok(op) => (Some(op.histogram()), handle(op, state, started)),
-        Err(rejected) => (rejected.search.then_some(&*REQ_SEARCH_US), rejected.into()),
-    };
-    if let Some(latency) = op_latency {
-        latency.record_duration_us(started.elapsed());
-    }
-    reply
-}
-
-fn handle(op: Op, state: &ServerState, started: Instant) -> Reply {
-    match op {
-        Op::Search(search) => handle_search(search, state, started),
-        Op::Control(control) => {
-            wire::control(control, || stats_json(state), render_grammar_coverage, &state.stop)
-        }
-    }
-}
-
-/// Runs one search through the shared core. Failures map to their wire
-/// parts here, once for both codecs, so retryability verdicts cannot drift.
-fn handle_search(search: SearchOp, state: &ServerState, started: Instant) -> Reply {
-    match run_search(&search.request, search.deadline_ms, search.trace, state) {
+/// Runs one search through the shared core (on the loop thread, only as
+/// far as a ready cache entry: `None` when there is none). Failures map to
+/// their wire parts here, once for both codecs, so retryability verdicts
+/// cannot drift.
+fn handle_search(
+    search: &SearchOp,
+    state: &ServerState,
+    started: Instant,
+    on_loop: bool,
+) -> Option<Reply> {
+    Some(match run_search(search, state, on_loop) {
         Ok(SearchVerdict::Served(mut served)) => {
             served.elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
             Reply::Served(served)
         }
+        Ok(SearchVerdict::Uncached) => return None,
         Ok(SearchVerdict::Shed) => Reply::error("overloaded", true, Some(state.retry_after_ms)),
         Err(e) => match e.class {
             ErrorClass::Deadline => {
@@ -534,57 +596,54 @@ fn handle_search(search: SearchOp, state: &ServerState, started: Instant) -> Rep
             ErrorClass::Leader => Reply::error(e.to_string(), true, None),
             ErrorClass::Invalid => Reply::error(e.to_string(), false, None),
         },
-    }
+    })
 }
 
 enum SearchVerdict {
     Served(Served),
     Shed,
+    /// No ready entry, and this thread runs the loop: it must not search.
+    Uncached,
 }
 
-/// The codec-independent search core: canonicalise, peek, admission,
-/// deadline token, single-flight fetch, plan-log append. Both wire formats
-/// funnel through here, which is what makes the "one request key, one
-/// cache entry, bit-identical bytes" invariant structural rather than
-/// incidental.
+/// The codec-independent search core: peek, admission, deadline token,
+/// single-flight fetch, plan-log append, under the request's trace. Both
+/// wire formats funnel through here with the key decode gave, which is
+/// what makes the "one request key, one cache entry, bit-identical bytes"
+/// invariant structural rather than incidental.
 fn run_search(
-    request: &SearchRequest,
-    deadline_ms: Option<u64>,
-    trace: bool,
+    search: &SearchOp,
     state: &ServerState,
+    on_loop: bool,
 ) -> codec::CodecResult<SearchVerdict> {
-    // Re-encode canonically: the cache key is independent of the client's
-    // field order, whitespace, and wire format.
-    let (canonical, hash) = request.canonical_key()?;
-
-    // Tracing installs on this worker thread only. The single-flight
-    // leader runs its compute closure on the calling thread, so the
-    // Evaluator's stage spans nest under the root span; a warm hit gets a
-    // minimal tree. The trace id derives from the request key — same
-    // request, same id — and tracing is observation-only: it cannot touch
-    // the key, the search, or the payload bytes.
-    let trace_guard = trace.then(|| Trace::begin(pte_telemetry::derive_trace_id(hash, 0)));
-    let verdict = run_search_core(request, &canonical, hash, deadline_ms, state);
-    let trace_json = trace_guard
-        .map(|t| trace_report_json(&t.finish()).write().expect("span trees have no floats"));
+    // Tracing installs on this thread only. The single-flight leader runs
+    // its compute closure on the calling thread, so the Evaluator's stage
+    // spans nest under the root span; a warm hit gets a minimal tree. The
+    // trace id derives from the request key — same request, same id — and
+    // tracing is observation-only: it cannot touch the key, the search, or
+    // the payload bytes.
+    let trace_guard =
+        search.trace.then(|| Trace::begin(pte_telemetry::derive_trace_id(search.key, 0)));
+    let verdict = run_search_core(search, state, on_loop);
+    let report = trace_guard.map(Trace::finish);
     match verdict? {
-        SearchVerdict::Shed => Ok(SearchVerdict::Shed),
         SearchVerdict::Served(mut served) => {
-            served.trace_json = trace_json;
+            served.trace_json =
+                report.map(|r| trace_report_json(&r).write().expect("span trees have no floats"));
             Ok(SearchVerdict::Served(served))
         }
+        verdict => Ok(verdict),
     }
 }
 
 /// [`run_search`] minus trace installation, under the request's root span.
 fn run_search_core(
-    request: &SearchRequest,
-    canonical: &str,
-    hash: u64,
-    deadline_ms: Option<u64>,
+    search: &SearchOp,
     state: &ServerState,
+    on_loop: bool,
 ) -> codec::CodecResult<SearchVerdict> {
-    let _root = pte_telemetry::span("search");
+    let (canonical, hash) = (search.canonical.as_str(), search.key);
+    let root = pte_telemetry::span("search");
 
     // Degraded-mode fast path: a ready entry answers without touching
     // admission, so hits keep flowing while cold searches are shed.
@@ -597,6 +656,11 @@ fn run_search_core(
             plan: payload,
             trace_json: None,
         }));
+    }
+    if on_loop {
+        // The pool thread that takes the search over opens its own span.
+        root.discard();
+        return Ok(SearchVerdict::Uncached);
     }
 
     // Bounded admission: every non-hit request (leader or coalescing
@@ -615,7 +679,7 @@ fn run_search_core(
     // The deadline becomes a cooperative token polled at the search's
     // stage boundaries. Op-level deadline wins; otherwise the server
     // default (0 = none) applies.
-    let budget_ms = deadline_ms.unwrap_or(state.default_deadline_ms);
+    let budget_ms = search.deadline_ms.unwrap_or(state.default_deadline_ms);
     let cancel = if budget_ms == 0 {
         CancelToken::never()
     } else {
@@ -637,7 +701,7 @@ fn run_search_core(
                 FaultAction::None | FaultAction::Disconnect => {}
             }
         }
-        let payload = codec::execute_cancellable(request, &cancel)?;
+        let payload = codec::execute_cancellable(&search.request, &cancel)?;
         searches.fetch_add(1, Ordering::Relaxed);
         Ok::<_, codec::CodecError>(payload)
     })?;

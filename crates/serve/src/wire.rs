@@ -127,12 +127,26 @@ pub(crate) enum Op {
     Control(Control),
 }
 
-/// A decoded search: the request plus the op-level fields that sit outside
-/// it, so they never change its canonical bytes or cache key.
+/// A decoded search: the request and its key, plus the op-level fields
+/// that sit outside it, so they never change its canonical bytes or key.
 pub(crate) struct SearchOp {
     pub(crate) request: SearchRequest,
+    /// The request's canonical bytes: the daemon caches under them.
+    pub(crate) canonical: String,
+    /// Their content hash: the daemon's cache key, the router's ring key.
+    pub(crate) key: u64,
     pub(crate) deadline_ms: Option<u64>,
     pub(crate) trace: bool,
+}
+
+/// A decoded search request with its key: both codecs key here, once.
+fn keyed_search(
+    request: SearchRequest,
+    deadline_ms: Option<u64>,
+    trace: bool,
+) -> Result<Op, Rejected> {
+    let (canonical, key) = request.canonical_key().map_err(Rejected::search)?;
+    Ok(Op::Search(SearchOp { request, canonical, key, deadline_ms, trace }))
 }
 
 /// The ops answered without a search.
@@ -201,7 +215,7 @@ impl Message {
         self.raw
     }
 
-    /// Decodes the message into the codec-free [`Op`].
+    /// Decodes the message into the codec-free [`Op`], keying a search.
     ///
     /// # Errors
     /// Malformed requests; the connection survives them.
@@ -241,14 +255,14 @@ fn decode_line(line: &[u8]) -> Result<Op, Rejected> {
         Some(value) => value.as_bool().ok_or_else(|| Rejected::new("trace must be a boolean"))?,
     };
     let request = SearchRequest::from_json(request).map_err(Rejected::search)?;
-    Ok(Op::Search(SearchOp { request, deadline_ms, trace }))
+    keyed_search(request, deadline_ms, trace)
 }
 
 fn decode_frame(frame_kind: u8, body: &[u8]) -> Result<Op, Rejected> {
     if frame_kind == kind::SEARCH {
         let (request, deadline_ms, trace) =
             codec_bin::decode_search_request(body).map_err(Rejected::search)?;
-        return Ok(Op::Search(SearchOp { request, deadline_ms, trace }));
+        return keyed_search(request, deadline_ms, trace);
     }
     Control::ALL
         .into_iter()
@@ -481,15 +495,15 @@ mod tests {
 
     fn search_key(message: &Message) -> u64 {
         match message.decode() {
-            Ok(Op::Search(search)) => search.request.canonical_key().expect("key").1,
+            Ok(Op::Search(search)) => search.key,
             _ => panic!("expected a search"),
         }
     }
 
     #[test]
     fn one_request_has_one_key_over_both_codecs() {
-        // The daemon caches and the router routes under the key decode +
-        // `canonical_key` give; op-level fields stay outside it.
+        // The daemon caches and the router routes under the key decode
+        // gives; op-level fields stay outside it.
         let request = bench_request(7);
         let line = format!(
             "{{\"op\":\"search\",\"deadline_ms\":5,\"request\":{}}}\n",

@@ -263,6 +263,7 @@ fn metrics_op_serves_prometheus_text_over_both_codecs() {
         "pte_connections_busy",
         "pte_connections_idle",
         "pte_queue_depth",
+        "pte_requests_inline_total",
         // request plane
         "pte_request_search_us",
         "pte_request_json_us",
@@ -312,6 +313,70 @@ fn metrics_op_serves_prometheus_text_over_both_codecs() {
         "stats op must expose the cache conservation law"
     );
     handle.join();
+}
+
+/// The inline-answer and loop wake-up counters, from one `metrics` page.
+fn inline_and_wakeups(client: &mut Client) -> [u64; 2] {
+    let metrics = client.metrics().expect("metrics op");
+    let page = metrics.get("prometheus").and_then(|p| p.as_str()).expect("prometheus page");
+    ["pte_requests_inline_total ", "pte_event_loop_wakeups_total "].map(|name| {
+        page.lines()
+            .find_map(|line| line.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("`{name}` on the page"))
+    })
+}
+
+/// Kills the daemon process if the test fails before shutting it down.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn cache_hits_are_answered_on_the_loop_without_waking_it() {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    // Its own daemon process: both counters are process-wide, and the
+    // daemons of this binary's other tests would move them.
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_pte-serve"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "2"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn pte-serve"),
+    );
+    let mut banner = String::new();
+    let mut stdout = std::io::BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+    stdout.read_line(&mut banner).expect("startup banner");
+    let addr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .expect("address in the banner")
+        .to_string();
+
+    let mut json = Client::connect(&addr).unwrap();
+    let mut binary = Client::connect_binary(&addr).unwrap();
+    assert!(!json.search(&request()).unwrap().cache_hit, "the first search fills the entry");
+    const HITS: u64 = 16;
+    for client in [&mut json, &mut binary] {
+        let before = inline_and_wakeups(client);
+        for _ in 0..HITS {
+            assert!(client.search(&request()).unwrap().cache_hit);
+        }
+        let after = inline_and_wakeups(client);
+        let codec = client.codec();
+        assert_eq!(after[0] - before[0], HITS, "{codec:?}: every hit is answered on the loop");
+        // A `metrics` scrape is a pool job: the first one's completion
+        // wakes the loop once, after its page was rendered.
+        assert_eq!(after[1] - before[1], 1, "{codec:?}: hits must not wake the loop");
+    }
+    json.shutdown().expect("shutdown ack");
+    assert!(daemon.0.wait().expect("daemon exit").success());
 }
 
 #[test]

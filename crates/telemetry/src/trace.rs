@@ -279,8 +279,7 @@ pub struct Span {
 }
 
 /// Opens a span. Neither opening nor closing takes a lock, except the
-/// first close of a span name on a thread (registry lookup) — and spans
-/// only run on worker/driver threads, never the serve event loop.
+/// first close of a span name on a thread (registry lookup).
 pub fn span(name: &'static str) -> Span {
     let traced = ACTIVE.with(|a| {
         let mut active = a.borrow_mut();
@@ -334,9 +333,42 @@ impl Drop for Span {
     }
 }
 
+impl Span {
+    /// Closes the span without recording it, neither in its histogram nor
+    /// in the trace: for work given up here to be redone, and recorded,
+    /// elsewhere.
+    pub fn discard(self) {
+        if self.traced {
+            ACTIVE.with(|a| {
+                let mut active = a.borrow_mut();
+                let Some(state) = active.as_mut() else { return };
+                if let Some(pos) = state.stack.iter().rposition(|o| o.name == self.name) {
+                    state.stack.remove(pos);
+                }
+            });
+        }
+        std::mem::forget(self);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_discarded_span_records_nothing() {
+        let histogram = crate::global().histogram("pte_span_discarded_us");
+        let trace = Trace::begin(7);
+        {
+            let _kept = span("kept");
+            span("discarded").discard();
+        }
+        let report = trace.finish();
+        assert_eq!(report.spans.len(), 1);
+        assert_eq!(report.spans[0].name, "kept");
+        assert!(report.spans[0].children.is_empty());
+        assert_eq!(histogram.count(), 0);
+    }
 
     #[test]
     fn spans_nest_into_a_tree() {

@@ -14,9 +14,10 @@
 //!
 //! Two implementations sit behind [`conv2d`] / [`conv2d_backward`]:
 //!
-//! * the **naive** 7-deep loop nest ([`conv2d_naive`]) — obviously correct,
+//! * the **naive** direct loop nest ([`conv2d_naive`]) — obviously correct,
 //!   zero setup cost, and the semantic reference everything else is tested
-//!   against;
+//!   against (its forward pass runs the output-column loop innermost, which
+//!   vectorises, and is pinned bitwise to the 7-deep nest);
 //! * the **im2col + GEMM** path — lowers the whole batch to one wide patch
 //!   matrix ([`super::im2col::im2col_batch`]) and runs one worker-pool
 //!   parallel matrix product per group ([`super::gemm`], which dispatches to
@@ -321,9 +322,15 @@ fn conv2d_gemm_checked(
     Ok(out)
 }
 
-/// Forward pass via the reference 7-deep loop nest. Prefer [`conv2d`], which
+/// Forward pass via the direct loop nest. Prefer [`conv2d`], which
 /// dispatches here for small problems; this entry point exists for
 /// benchmarks and differential tests.
+///
+/// Each output row accumulates whole rows of taps: the innermost loop runs
+/// across output columns, so it vectorises, while every output element
+/// still adds its taps in (channel, kernel row, kernel column) order,
+/// multiply then add, skipping the same padding taps — bit-identical to
+/// the 7-deep nest with the column loop outermost.
 ///
 /// # Errors
 /// Returns an error if the spec is inconsistent or shapes do not match it.
@@ -331,7 +338,7 @@ pub fn conv2d_naive(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resul
     let (n, h, w) = check_conv_args(input, weight, spec)?;
     let (oh, ow) = spec.output_hw(h, w);
     let (cig, cog) = (spec.c_in_per_group(), spec.c_out_per_group());
-    let k = spec.kernel;
+    let (k, stride, pad) = (spec.kernel, spec.stride, spec.padding);
     let mut out = Tensor::zeros(&[n, spec.c_out, oh, ow]);
 
     let x = input.as_slice();
@@ -341,29 +348,38 @@ pub fn conv2d_naive(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Resul
         for co in 0..spec.c_out {
             let g = co / cog;
             for y in 0..oh {
-                for xo in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ci in 0..cig {
-                        let ic = g * cig + ci;
-                        for kh in 0..k {
-                            let ih = y * spec.stride + kh;
-                            if ih < spec.padding || ih - spec.padding >= h {
+                let row = &mut o[((in_ * spec.c_out + co) * oh + y) * ow..][..ow];
+                for ci in 0..cig {
+                    let ic = g * cig + ci;
+                    for kh in 0..k {
+                        let ih = y * stride + kh;
+                        if ih < pad || ih - pad >= h {
+                            continue;
+                        }
+                        let x_row = &x[((in_ * spec.c_in + ic) * h + ih - pad) * w..][..w];
+                        for kw in 0..k {
+                            let tap = wt[((co * cig + ci) * k + kh) * k + kw];
+                            // The output columns whose input column
+                            // `xo * stride + kw - pad` lies inside the row.
+                            let first = pad.saturating_sub(kw).div_ceil(stride);
+                            let end = (w + pad).saturating_sub(kw).div_ceil(stride).min(ow);
+                            if first >= end {
                                 continue;
                             }
-                            let ih = ih - spec.padding;
-                            for kw in 0..k {
-                                let iw = xo * spec.stride + kw;
-                                if iw < spec.padding || iw - spec.padding >= w {
-                                    continue;
+                            let x0 = first * stride + kw - pad;
+                            if stride == 1 {
+                                let xs = &x_row[x0..x0 + (end - first)];
+                                for (acc, &xv) in row[first..end].iter_mut().zip(xs) {
+                                    *acc += xv * tap;
                                 }
-                                let iw = iw - spec.padding;
-                                let xi = ((in_ * spec.c_in + ic) * h + ih) * w + iw;
-                                let wi = ((co * cig + ci) * k + kh) * k + kw;
-                                acc += x[xi] * wt[wi];
+                            } else {
+                                let xs = x_row[x0..].iter().step_by(stride);
+                                for (acc, &xv) in row[first..end].iter_mut().zip(xs) {
+                                    *acc += xv * tap;
+                                }
                             }
                         }
                     }
-                    o[((in_ * spec.c_out + co) * oh + y) * ow + xo] = acc;
                 }
             }
         }
@@ -678,6 +694,80 @@ mod tests {
             "analytic vs numeric d_input diverged: {}",
             grads.d_input.max_abs_diff(&numeric).unwrap()
         );
+    }
+
+    /// The reference 7-deep loop nest, output column outside the taps.
+    fn conv2d_oracle(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
+        let (n, h, w) = check_conv_args(input, weight, spec).unwrap();
+        let (oh, ow) = spec.output_hw(h, w);
+        let (cig, cog) = (spec.c_in_per_group(), spec.c_out_per_group());
+        let k = spec.kernel;
+        let mut out = Tensor::zeros(&[n, spec.c_out, oh, ow]);
+        let (x, wt) = (input.as_slice(), weight.as_slice());
+        let o = out.as_mut_slice();
+        for in_ in 0..n {
+            for co in 0..spec.c_out {
+                let g = co / cog;
+                for y in 0..oh {
+                    for xo in 0..ow {
+                        let mut acc = 0.0f32;
+                        for ci in 0..cig {
+                            let ic = g * cig + ci;
+                            for kh in 0..k {
+                                let ih = y * spec.stride + kh;
+                                if ih < spec.padding || ih - spec.padding >= h {
+                                    continue;
+                                }
+                                let ih = ih - spec.padding;
+                                for kw in 0..k {
+                                    let iw = xo * spec.stride + kw;
+                                    if iw < spec.padding || iw - spec.padding >= w {
+                                        continue;
+                                    }
+                                    let iw = iw - spec.padding;
+                                    let xi = ((in_ * spec.c_in + ic) * h + ih) * w + iw;
+                                    let wi = ((co * cig + ci) * k + kh) * k + kw;
+                                    acc += x[xi] * wt[wi];
+                                }
+                            }
+                        }
+                        o[((in_ * spec.c_out + co) * oh + y) * ow + xo] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn naive_forward_is_bit_identical_to_the_seven_deep_nest() {
+        let mut seed = 70;
+        for (c_in, c_out, groups) in [(3, 4, 1), (4, 6, 2), (6, 6, 6)] {
+            for kernel in [1, 3, 5] {
+                for stride in [1, 2] {
+                    for padding in [0, 1, 2] {
+                        for (h, w) in [(7, 9), (6, 5), (9, 13)] {
+                            if h + 2 * padding < kernel || w + 2 * padding < kernel {
+                                continue;
+                            }
+                            let spec = Conv2dSpec::new(c_in, c_out, kernel)
+                                .with_stride(stride)
+                                .with_padding(padding)
+                                .with_groups(groups);
+                            let x = Tensor::randn(&[2, c_in, h, w], seed);
+                            let wt = Tensor::randn(&spec.weight_dims(), seed + 1);
+                            seed += 2;
+                            let fast = conv2d_naive(&x, &wt, &spec).unwrap();
+                            let oracle = conv2d_oracle(&x, &wt, &spec);
+                            assert_eq!(fast.shape(), oracle.shape(), "{spec:?} {h}x{w}");
+                            for (i, (a, b)) in fast.iter().zip(oracle.iter()).enumerate() {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{spec:?} {h}x{w} at {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
